@@ -73,6 +73,12 @@ def _workers() -> int:
     return resolve_workers(os.environ.get("REPRO_BENCH_WORKERS", "0"))
 
 
+def _check(ok: bool, what: str) -> None:
+    """Fail the running case unless ``ok`` (unlike ``assert``, survives ``-O``)."""
+    if not ok:
+        raise RuntimeError(f"bench check failed: {what}")
+
+
 def _observe(vm: VirtualMachine, body) -> BenchObservation:
     """Run ``body`` and report the vm-time / op-count deltas it caused."""
     ops_before = vm.ops.as_dict()
@@ -465,7 +471,7 @@ def _telemetry_overhead(_ctx) -> BenchObservation:
     traced.enable_telemetry()
     plain.run(6)
     traced.run(6)
-    assert traced.vm.elapsed() == plain.vm.elapsed()
+    _check(traced.vm.elapsed() == plain.vm.elapsed(), "telemetry moved vm.elapsed()")
     traced.telemetry.metrics_lines()
     traced.telemetry.tracer.to_chrome()
     return BenchObservation(
@@ -503,9 +509,10 @@ def _obs_overhead(_ctx) -> BenchObservation:
     t_observed = perf_counter() - t0
     # zero-cost contract: profiling + telemetry never touch the virtual
     # axes or the physics
-    assert observed.vm.elapsed() == plain.vm.elapsed()
-    assert observed.vm.ops.as_dict() == plain.vm.ops.as_dict()
-    assert observed.profiler is not None and observed.profiler.samples
+    _check(observed.vm.elapsed() == plain.vm.elapsed(), "observation moved vm.elapsed()")
+    _check(observed.vm.ops.as_dict() == plain.vm.ops.as_dict(), "observation moved vm.ops")
+    _check(observed.profiler is not None and bool(observed.profiler.samples),
+           "profiler recorded no samples")
     return BenchObservation(
         vm_seconds=observed.vm.elapsed(),
         op_counts=observed.vm.ops.as_dict(),
@@ -550,7 +557,7 @@ def _recovery_smoke(path: Path) -> BenchObservation:
     )
     sim.install_faults(FaultPlan(events=(FaultEvent(kind="kill", rank=5, iteration=4),)))
     result = sim.run(6, checkpoint_every=2, checkpoint_path=path)
-    assert result.n_recoveries == 1
+    _check(result.n_recoveries == 1, f"expected 1 recovery, got {result.n_recoveries}")
     # recovery swapped sim.vm for the shrunk machine (which carried the
     # old elapsed/ops forward), so report its cumulative totals directly
     return BenchObservation(vm_seconds=sim.vm.elapsed(), op_counts=sim.vm.ops.as_dict())

@@ -3,8 +3,8 @@
 :class:`PhaseProfiler` is an *instrumented* profiler, not a statistical
 sampler: the virtual machine opens a root section per phase (the
 ``vm.profiler`` dormant hook, mirroring ``vm.tracer``) and the flat
-engine opens nested sections around its kernels — deposition, rank-row
-reduction, interpolation, the Boris push, migration partitioning.
+engine opens nested sections around its kernels — deposition, the
+ghost merge, interpolation, the Boris push, migration partitioning.
 Worker processes of the multicore backend time their handler bodies and
 ship the totals back through :meth:`merge_worker_samples`, so attribution
 reaches inside :mod:`repro.parallel_exec` workers too.

@@ -208,10 +208,10 @@ class FlatBackend:
         """Contiguous rank ranges covering ``[0, p)``, balanced by count.
 
         Every rank lands in exactly one shard (zero-particle ranks
-        included, so scratch rows for them are always freshly written);
-        shard boundaries depend only on ``counts`` and the worker count,
-        and the per-rank reduction order downstream makes results
-        independent of them.
+        included, so every node of the shared deposition block is
+        freshly written by its owner's shard); shard boundaries depend
+        only on ``counts`` and the worker count, and owner-keyed
+        deposition makes results independent of them.
         """
         p = int(counts.shape[0])
         k = max(min(self.nworkers, p), 1)
@@ -233,16 +233,17 @@ class FlatBackend:
     def scatter(self, pool: ParticlePool, node_owner: np.ndarray, nnodes: int):
         """Worker-parallel CIC deposition over the pool's rank segments.
 
-        Returns ``(rows, entries_per_rank, uniq_per_rank, messages)``:
-        the shared ``(p, nchannels, nnodes)`` per-rank partial rows (to
-        be reduced in rank order by the caller), ghost-table tallies, and
-        per-rank coalesced ghost messages — exactly the intermediates the
-        serial flat scatter computes.
+        Returns ``(acc, entries_per_rank, uniq_per_rank, messages)``:
+        the shared ``(nchannels, nnodes)`` on-rank deposition block
+        (each shard writes the nodes its ranks own; the caller may merge
+        into it in place, the next scatter rewrites every node),
+        ghost-table tallies, and per-rank coalesced ghost messages —
+        exactly the intermediates the serial flat scatter computes.
         """
         cols = self._require_cols(pool)
         p = pool.p
         counts = pool.counts
-        rows, rows_desc = self.arena.array("rows", (p, len(CHANNELS), nnodes), np.float64)
+        acc, acc_desc = self.arena.array("deposit", (len(CHANNELS), nnodes), np.float64)
         owner_desc = self.arena.publish("owner", np.ascontiguousarray(node_owner))
         offsets = np.asarray(pool.offsets, dtype=np.int64)
         shards = self._shards(counts)
@@ -257,7 +258,7 @@ class FlatBackend:
                     r1=r1,
                     owner=owner_desc,
                     nnodes=int(nnodes),
-                    rows=rows_desc,
+                    out=acc_desc,
                     version=self._version,
                 ),
             )
@@ -272,7 +273,7 @@ class FlatBackend:
             uniq[r0:r1] = unq
             for lr, msg in enumerate(msgs):
                 messages[r0 + lr] = msg
-        return rows, entries, uniq, messages
+        return acc, entries, uniq, messages
 
     def gather_push(self, pool: ParticlePool, node_values: np.ndarray, dt: float) -> None:
         """Worker-parallel field gather + Boris push, in place in the pool.

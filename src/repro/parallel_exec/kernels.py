@@ -8,13 +8,15 @@ the determinism contract of DESIGN.md §5.5:
 
 * per-element kernels (CIC vertices, deposition entries, field gather,
   Boris push, key classification) are chunk-oblivious by construction;
-* the only true floating-point reductions — on-rank deposition
-  accumulation and ghost duplicate-removal sums — are decomposed at
-  **rank granularity**: each rank's partial accumulates its entries in
-  pool order, and partials are reduced in ascending rank order by
-  :func:`reduce_rank_rows`.  Worker shards are unions of whole rank
-  segments, so the addition sequence per node never depends on the
-  worker count.
+* on-rank deposition is *owner-keyed*: an on-rank entry only touches a
+  node its depositing rank owns, so every node's sum draws on exactly
+  one rank's entries, in pool order.  One node-keyed ``bincount`` over
+  a shard, written back only at the nodes the shard's ranks own, is
+  therefore bit-identical to the looped engine's per-rank accumulation
+  (every other rank contributes an exact ``0.0`` there).  Worker shards
+  are unions of whole rank segments and write disjoint node sets, so
+  the result never depends on the worker count;
+* ghost duplicate-removal sums are per source rank, in pool order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.pic.push import boris_push
 
 __all__ = [
     "scatter_segment",
-    "reduce_rank_rows",
     "gather_push_slice",
     "classify_chunk",
     "partition_segment_by_dest",
@@ -47,7 +48,7 @@ def scatter_segment(
     r0: int,
     node_owner: np.ndarray,
     nnodes: int,
-    out_rows: np.ndarray,
+    out: np.ndarray,
 ):
     """Deposition work for the rank segments ``[r0, r0 + len(counts))``.
 
@@ -61,11 +62,12 @@ def scatter_segment(
         Global rank id of the first covered segment.
     node_owner:
         Global node-ownership map.
-    out_rows:
-        ``(nranks, nchannels, nnodes)`` output — each covered rank's
-        on-rank deposition partial (its entries accumulated in pool
-        order).  Callers reduce rows in rank order via
-        :func:`reduce_rank_rows`.
+    out:
+        ``(nchannels, nnodes)`` on-rank deposition accumulator.  Only
+        the nodes owned by the covered ranks
+        (``r0 <= node_owner < r0 + len(counts)``) are written, each with
+        its owner's entries summed in pool order; all other nodes are
+        left untouched.
 
     Returns
     -------
@@ -90,22 +92,17 @@ def scatter_segment(
         mine_idx = np.flatnonzero(~ghost)
         nodes_mine = flat_nodes.take(mine_idx)
         values_mine = flat_values.take(mine_idx, axis=1)
-        ranks_mine = local_rank.take(mine_idx)
     else:
         nodes_mine = flat_nodes
         values_mine = flat_values
-        ranks_mine = local_rank
 
-    # On-rank accumulation, one partial row per covered rank: a single
-    # wide bincount keyed by (local rank, node).  Within one key the
-    # entries arrive in pool order, so row r is bit-identical to a
-    # per-rank bincount of rank r's entries alone.
-    key_mine = ranks_mine * np.int64(nnodes) + nodes_mine
-    width = nranks * nnodes
+    # On-rank accumulation keyed by node alone: each node's entries all
+    # come from its owner, in pool order, so this matches the owner's
+    # per-rank bincount bit-for-bit.
+    owned = (node_owner >= r0) & (node_owner < r0 + nranks)
     for c in range(nchannels):
-        out_rows[:, c, :] = np.bincount(
-            key_mine, weights=values_mine[c], minlength=width
-        ).reshape(nranks, nnodes)
+        dep = np.bincount(nodes_mine, weights=values_mine[c], minlength=nnodes)
+        np.copyto(out[c], dep, where=owned)
 
     entries_per_rank = np.zeros(nranks, dtype=np.int64)
     uniq_per_rank = np.zeros(nranks, dtype=np.int64)
@@ -141,18 +138,6 @@ def scatter_segment(
                 for i in range(msg_uniq.size)
             ]
     return vertices, entries_per_rank, uniq_per_rank, messages
-
-
-def reduce_rank_rows(rows: np.ndarray, p: int, acc: np.ndarray) -> np.ndarray:
-    """Reduce per-rank deposition partials in ascending rank order.
-
-    The fixed reduction order is the determinism anchor: it matches the
-    looped engine's ``for r in range(p): acc += bincount(rank r)`` and is
-    independent of how ranks were sharded across workers.
-    """
-    for r in range(p):
-        acc += rows[r]
-    return acc
 
 
 def gather_push_slice(

@@ -16,12 +16,14 @@ entries with rank-offset node ids (``node + rank * nnodes``) and summing
 duplicates with one ``unique``/``bincount`` — per-rank results come back
 as contiguous segments of the sorted unique keys.
 
-Association contract: both engines (and the multicore backend's
-:mod:`repro.parallel_exec.kernels`) accumulate "mine" entries into a
-*per-depositing-rank* partial row first and add rows in ascending rank
-order, so every float addition happens in the same order everywhere —
-deposition results are bit-identical across engines and worker counts,
-not merely close (DESIGN.md §5.5).
+Association contract: a "mine" entry only touches a node its depositing
+rank owns, so both engines (and the multicore backend's
+:mod:`repro.parallel_exec.kernels`) sum each node's on-rank entries from
+its owner alone, in pool order — the looped engine with one bincount per
+rank, the flat engine with one node-keyed bincount — and every float
+addition happens in the same order everywhere: deposition results are
+bit-identical across engines and worker counts, not merely close
+(DESIGN.md §5.5).
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ from repro.machine.collectives import (
     exchange_by_destination,
     exchange_by_destination_pooled,
 )
-from repro.parallel_exec.kernels import reduce_rank_rows, scatter_segment
+from repro.parallel_exec.kernels import scatter_segment
 from repro.util import require
 
 __all__ = ["ParallelPIC"]
@@ -338,9 +338,10 @@ class ParallelPIC:
         duplicate removal reproduces each rank's ghost-table output
         bit-for-bit (entries stay in per-rank order inside the pool).
 
-        Deposition reduces at *rank granularity* (per-rank partial rows
-        added in ascending rank order, then per-message merges in the
-        looped engine's order), so the accumulated channels are also
+        Deposition accumulates into one owner-keyed ``(channels,
+        nnodes)`` array: each node's on-rank sum comes from its owning
+        rank alone, in pool order, and ghost messages merge in the
+        looped engine's order, so the accumulated channels are also
         bit-identical to the looped engine — and independent of how a
         multicore backend shards the pool across workers.
         """
@@ -351,7 +352,6 @@ class ParallelPIC:
         nchannels = len(CHANNELS)
         pool = self._ensure_pool()
         counts = pool.counts
-        acc = np.zeros((nchannels, nnodes))
         sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(p)]
         ghost_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(p)]
         backend = self.backend
@@ -359,19 +359,17 @@ class ParallelPIC:
         with vm.phase("scatter"):
             with maybe_section(prof, "deposit"):
                 if backend is not None:
-                    rows, entries_per_rank, uniq_per_rank, messages = backend.scatter(
+                    acc, entries_per_rank, uniq_per_rank, messages = backend.scatter(
                         pool, self.node_owner, nnodes
                     )
                     # each worker holds its segment's CIC evaluation locally
                     self._cic_pool_cache = None
                 else:
-                    rows = np.empty((p, nchannels, nnodes))
+                    acc = np.empty((nchannels, nnodes))
                     vertices, entries_per_rank, uniq_per_rank, messages = scatter_segment(
-                        grid, pool.array, counts, 0, self.node_owner, nnodes, rows
+                        grid, pool.array, counts, 0, self.node_owner, nnodes, acc
                     )
                     self._cic_pool_cache = (pool, vertices[0], vertices[1])
-            with maybe_section(prof, "reduce"):
-                reduce_rank_rows(rows, p, acc)
 
             table_ops = np.zeros(p)
             for r in np.flatnonzero(entries_per_rank):
@@ -387,15 +385,14 @@ class ParallelPIC:
 
             with maybe_section(prof, "ghost_merge"):
                 recv = vm.alltoallv(sends)
-                # Merge received ghost contributions exactly as the looped
-                # engine does — one bincount per message, destinations in
-                # rank order, sources sorted — so the per-node addition
-                # sequence (hence the floats) matches bit-for-bit.
+                # Merge received ghost contributions in the looped engine's
+                # order — destinations in rank order, sources sorted.  Ids
+                # are unique within a message, so an in-place fancy-index
+                # add equals its full-width bincount bit-for-bit.
                 merge_ops = np.zeros(p)
                 for r in range(p):
                     for _, (ids, vals) in sorted(recv[r].items()):
-                        for c in range(nchannels):
-                            acc[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
+                        acc[:, ids] += vals
                         merge_ops[r] += ids.size
                 vm.charge_ops("table", merge_ops)
 

@@ -88,6 +88,34 @@ class TestRunner:
         assert [r.name for r in suite.results] == ["a", "b"]
 
 
+class TestCaseChecks:
+    """Timed-body invariants raise (and fail the case) even under ``-O``."""
+
+    @staticmethod
+    def _case(name):
+        return next(c for c in cases_for_suite("smoke") if c.name == name)
+
+    @pytest.mark.parametrize("name", ["telemetry_overhead_p32", "obs_overhead_p32"])
+    def test_vm_elapsed_mismatch_fails_case(self, name, monkeypatch):
+        from itertools import count
+
+        from repro.machine import VirtualMachine
+
+        # every call reads a later clock, so the two runs never agree
+        skew = count()
+        real = VirtualMachine.elapsed
+        monkeypatch.setattr(VirtualMachine, "elapsed", lambda vm: real(vm) + next(skew))
+        with pytest.raises(RuntimeError, match="vm.elapsed"):
+            run_case(self._case(name), repeats=1, warmup=0)
+
+    def test_missing_recovery_fails_case(self, monkeypatch):
+        from repro.pic import Simulation
+
+        monkeypatch.setattr(Simulation, "install_faults", lambda sim, plan: None)
+        with pytest.raises(RuntimeError, match="recovery"):
+            run_case(self._case("recovery_smoke_p32"), repeats=1, warmup=0)
+
+
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path):
         suite = SuiteResult(

@@ -214,6 +214,40 @@ class TestMulticoreParity:
             pic_w.close()
 
 
+class TestPaperScaleParity:
+    """The three-way contract at the Figure 17 configuration (p = 128 on
+    the 128x64 mesh), where the dense per-rank structures the smaller
+    tests cannot exercise would show."""
+
+    @staticmethod
+    def _run(engine, workers):
+        from repro.pic import Simulation, SimulationConfig
+
+        cfg = SimulationConfig(
+            nx=128, ny=64, nparticles=32768, p=128, distribution="irregular",
+            scheme="hilbert", movement="lagrangian", policy="periodic:2",
+            engine=engine,
+        )
+        sim = Simulation(cfg, workers=workers)
+        try:
+            sim.run(4)
+            return (
+                sim.vm.elapsed(),
+                sim.vm.ops.as_dict(),
+                sim.pic.fields.rho.tobytes(),
+                sim.pic.fields.jx.tobytes(),
+                sim.final_state_summary(),
+            )
+        finally:
+            sim.close()
+
+    @needs_multicore
+    def test_fig17_p128_looped_flat_workers(self):
+        looped = self._run("looped", 0)
+        assert self._run("flat", 0) == looped
+        assert self._run("flat", 2) == looped
+
+
 class TestPoolLifecycle:
     def test_pool_survives_external_reassignment(self):
         """Replacing pic.particles (as the redistributor does) must

@@ -279,6 +279,37 @@ class TestShards:
             covered.extend(range(r0, r1))
         assert covered == list(range(len(counts)))
 
+    def test_scatter_writes_only_shard_owned_nodes(self, backend):
+        from repro.core import ParticlePartitioner
+        from repro.mesh import CurveBlockDecomposition
+        from repro.parallel_exec.kernels import scatter_segment
+        from repro.particles import ParticlePool, gaussian_blob
+        from repro.pic.deposition import CHANNELS
+
+        grid, p = Grid2D(24, 16), 7
+        owner = CurveBlockDecomposition(grid, p, "hilbert").owner_map
+        local = ParticlePartitioner(grid, "hilbert").initial_partition(
+            gaussian_blob(grid, 1500, rng=5), p
+        )
+        pool = ParticlePool.from_ranks(local)
+        counts, offsets = pool.counts, pool.offsets
+        shape = (len(CHANNELS), grid.nnodes)
+
+        serial = np.full(shape, np.nan)
+        scatter_segment(grid, pool.array, counts, 0, owner, grid.nnodes, serial)
+        union = np.full(shape, np.nan)
+        shards = backend._shards(counts)
+        assert len(shards) > 1
+        for r0, r1 in shards:
+            out = np.full(shape, np.nan)
+            parts = pool.array.slice_view(int(offsets[r0]), int(offsets[r1]))
+            scatter_segment(grid, parts, counts[r0:r1], r0, owner, grid.nnodes, out)
+            owned = (owner >= r0) & (owner < r1)
+            assert not np.isnan(out[:, owned]).any()
+            assert np.isnan(out[:, ~owned]).all()
+            union[:, owned] = out[:, owned]
+        assert union.tobytes() == serial.tobytes()
+
     def test_classify_matches_serial(self, backend):
         rng = np.random.default_rng(11)
         n, p = 4096, 7
