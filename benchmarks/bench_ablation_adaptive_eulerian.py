@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.core.metrics import load_imbalance
 from repro.pic import Simulation, SimulationConfig
 from repro.workloads import scaled_iterations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.pic.ghost import make_ghost_table
 
 NNODES = 512 * 256  # the paper's large mesh

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.core.incremental_sort import BucketState, bucket_incremental_sort
 from repro.machine import MachineModel, VirtualMachine
 from repro.particles.sort import parallel_sample_sort

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.core import ParticlePartitioner
 from repro.core.alignment import bounding_box_area, ghost_node_counts, partner_counts
 from repro.mesh import CurveBlockDecomposition, Grid2D

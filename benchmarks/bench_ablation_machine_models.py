@@ -15,7 +15,7 @@ granularities, and checks both halves of the claim.
 from __future__ import annotations
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.machine import MachineModel
 from repro.pic import Simulation, SimulationConfig
 from repro.workloads import scaled_iterations

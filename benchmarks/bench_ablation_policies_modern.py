@@ -10,7 +10,7 @@ periodic with no tuning.
 from __future__ import annotations
 
 from benchmarks._shared import run_simulation, write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.workloads import scaled_iterations
 
 PERIODS = [50, 25, 10, 5]

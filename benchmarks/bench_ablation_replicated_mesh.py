@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks._shared import write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.core import ParticlePartitioner
 from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D

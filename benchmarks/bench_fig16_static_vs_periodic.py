@@ -12,7 +12,7 @@ significantly outperform static ones").
 from __future__ import annotations
 
 from benchmarks._shared import run_simulation, write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.workloads import FIG16_CASES, scaled_iterations
 
 PERIODS = [200, 100, 50, 25, 10, 5]

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from benchmarks._shared import run_simulation, write_report
-from repro.analysis import ascii_series
+from repro.telemetry import ascii_series
 from repro.workloads import FIG17_CASE, scaled_iterations
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from benchmarks._shared import write_report
 from benchmarks.bench_fig17_iteration_time import fig17_series
-from repro.analysis import ascii_series
+from repro.telemetry import ascii_series
 
 
 def bench_fig18_max_data(benchmark):

@@ -9,7 +9,7 @@ within a few percent of the best period without any tuning.
 from __future__ import annotations
 
 from benchmarks._shared import run_simulation, write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.workloads import FIG20_CASE, scaled_iterations
 
 PERIODS = [100, 50, 25, 10, 5, 2]

@@ -8,7 +8,7 @@ at or below snake overhead for the uniform cases.
 from __future__ import annotations
 
 from benchmarks._shared import table2_case_names, table2_run, write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.workloads import TABLE2_CASES
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from benchmarks._shared import write_report
 from benchmarks.bench_fig21_overhead_uniform import overhead_rows
-from repro.analysis import format_table
+from repro.telemetry import format_table
 
 
 def bench_fig22_overhead_irregular(benchmark):

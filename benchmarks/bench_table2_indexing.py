@@ -13,7 +13,7 @@ time decreases with processor count for each case family.
 from __future__ import annotations
 
 from benchmarks._shared import table2_case_names, table2_run, write_report
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.workloads import TABLE2_CASES
 
 

@@ -15,7 +15,8 @@ observation #3.
 from __future__ import annotations
 
 from benchmarks._shared import table2_case_names, table2_run, write_report
-from repro.analysis import efficiency, format_table
+from repro.analysis import efficiency
+from repro.telemetry import format_table
 from repro.workloads import TABLE2_CASES
 
 

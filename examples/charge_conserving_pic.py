@@ -14,7 +14,7 @@ Run:  python examples/charge_conserving_pic.py
 import numpy as np
 
 from repro import Grid2D, SequentialPIC, uniform_plasma
-from repro.analysis import ascii_series, format_table
+from repro.telemetry import ascii_series, format_table
 from repro.pic.yee import YeePIC
 
 

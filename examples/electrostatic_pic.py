@@ -15,7 +15,7 @@ Run:  python examples/electrostatic_pic.py
 import numpy as np
 
 from repro import Grid2D, uniform_plasma
-from repro.analysis import ascii_series
+from repro.telemetry import ascii_series
 from repro.mesh import FieldState
 from repro.pic import PoissonSolver
 from repro.pic.deposition import deposit_charge_current

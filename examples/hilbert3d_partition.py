@@ -9,7 +9,7 @@ compares the alignment and communication proxies.
 Run:  python examples/hilbert3d_partition.py
 """
 
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.ext3d import (
     CurveBlockDecomposition3D,
     Grid3D,

@@ -15,7 +15,7 @@ Run:  python examples/indexing_comparison.py
 import numpy as np
 
 from repro import Grid2D, SimulationConfig, Simulation, gaussian_blob
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.core import ParticlePartitioner
 from repro.core.alignment import bounding_box_area, ghost_node_counts, partner_counts
 from repro.mesh import CurveBlockDecomposition

@@ -10,7 +10,7 @@ Run:  python examples/phase_profile.py
 """
 
 from repro import Simulation, SimulationConfig
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.machine import PhaseTrace
 
 

@@ -10,7 +10,7 @@ Run:  python examples/policy_comparison.py
 """
 
 from repro import Simulation, SimulationConfig
-from repro.analysis import ascii_series, format_table
+from repro.telemetry import ascii_series, format_table
 
 ITERATIONS = 150
 POLICIES = ["static", "periodic:50", "periodic:25", "periodic:10", "periodic:5", "dynamic"]

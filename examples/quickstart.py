@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Simulation, SimulationConfig
-from repro.analysis import format_table
+from repro.telemetry import format_table
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Run:  python examples/two_stream_instability.py
 import numpy as np
 
 from repro import Grid2D, SequentialPIC, two_stream
-from repro.analysis import ascii_series
+from repro.telemetry import ascii_series
 
 
 def main() -> None:

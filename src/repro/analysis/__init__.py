@@ -1,15 +1,5 @@
-"""Analysis and reporting: efficiency tables, text rendering of figures."""
+"""Analysis: speedup and parallel-efficiency figures (Table 3)."""
 
 from repro.analysis.efficiency import efficiency, speedup
-from repro.analysis.report import ascii_series, format_table
-from repro.analysis.visualize import density_map, ownership_map, particle_assignment_map
 
-__all__ = [
-    "speedup",
-    "efficiency",
-    "format_table",
-    "ascii_series",
-    "density_map",
-    "ownership_map",
-    "particle_assignment_map",
-]
+__all__ = ["speedup", "efficiency"]

@@ -34,10 +34,8 @@ from repro.pic.checkpoint import load_checkpoint
 from repro.pic.ghost import make_ghost_table
 
 #: Shared problem size of the PIC-phase cases.  p = 32 with 256
-#: particles per rank is the regime the flat engine exists for: per-rank
-#: Python loop overhead dominates the looped engine there, so the
-#: looped-baseline-vs-flat comparison shows the pooled kernels' >= 1.5x
-#: wall-clock advantage at byte-identical virtual time.
+#: particles per rank is the regime the pooled kernels exist for: a
+#: per-rank Python loop would dominate the host time there.
 _P = 32
 _NX, _NY = 64, 32
 _NPART = 8192
@@ -47,17 +45,6 @@ _SEED = 3
 #: Problem size of the multicore flat-backend cases: enough particles
 #: per rank that kernel math dominates worker dispatch overhead.
 _NPART_MC = 262_144
-
-
-def _engine() -> str:
-    """Execution engine the PIC cases run under.
-
-    The committed ``BENCH_baseline.json`` is recorded with
-    ``REPRO_BENCH_ENGINE=looped`` so a default (flat) run compared
-    against it demonstrates — and gates — the pooled engine's wall-clock
-    advantage at identical virtual time and op counts.
-    """
-    return os.environ.get("REPRO_BENCH_ENGINE", "flat")
 
 
 def _workers() -> int:
@@ -104,7 +91,7 @@ def _build_pic(movement: str = "lagrangian", p: int = _P, **kwargs) -> ParallelP
         local = [particles.take(np.flatnonzero(owners == r)) for r in range(p)]
     else:
         local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, p)
-    return ParallelPIC(vm, grid, decomp, local, movement=movement, engine=_engine(), **kwargs)
+    return ParallelPIC(vm, grid, decomp, local, movement=movement, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -155,20 +142,17 @@ def _step_eulerian(pic: ParallelPIC) -> BenchObservation:
 
 
 def _build_pic_mc() -> ParallelPIC:
-    """Large flat-engine fixture for the multicore-backend cases.
+    """Large fixture for the multicore-backend cases.
 
-    Always ``engine="flat"`` (the backend only exists there); the worker
-    count comes from ``REPRO_BENCH_WORKERS`` so the same case measures
-    the serial flat baseline and the sharded backend.
+    The worker count comes from ``REPRO_BENCH_WORKERS`` so the same case
+    measures the in-process baseline and the sharded backend.
     """
     grid = Grid2D(_NX, _NY)
     particles = gaussian_blob(grid, _NPART_MC, rng=_SEED)
     vm = VirtualMachine(_P, MachineModel.cm5())
     decomp = CurveBlockDecomposition(grid, _P, "hilbert")
     local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, _P)
-    return ParallelPIC(
-        vm, grid, decomp, local, movement="lagrangian", engine="flat", workers=_workers()
-    )
+    return ParallelPIC(vm, grid, decomp, local, movement="lagrangian", workers=_workers())
 
 
 @register(
@@ -412,7 +396,6 @@ def _checkpoint_fixture() -> tuple[Simulation, Path]:
             distribution="irregular",
             policy="dynamic",
             seed=_SEED,
-            engine=_engine(),
         )
     )
     sim.run(2)  # accumulate vm / policy / record state worth serializing
@@ -447,7 +430,6 @@ def _telemetry_config() -> SimulationConfig:
         distribution="irregular",
         policy="dynamic",
         seed=_SEED,
-        engine=_engine(),
     )
 
 
@@ -552,7 +534,6 @@ def _recovery_smoke(path: Path) -> BenchObservation:
             distribution="irregular",
             policy="dynamic",
             seed=_SEED,
-            engine=_engine(),
         )
     )
     sim.install_faults(FaultPlan(events=(FaultEvent(kind="kill", rank=5, iteration=4),)))
@@ -584,7 +565,6 @@ def _service_cache_fixture() -> dict:
                 distribution="irregular",
                 policy="dynamic",
                 seed=seed,
-                engine=_engine(),
             ),
             iterations=4,
             name=f"bench-seed={seed}",

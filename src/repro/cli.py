@@ -37,9 +37,9 @@ import sys
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro.telemetry import format_table
 from repro.indexing import available_schemes
-from repro.pic import Simulation, SimulationConfig, SimulationResult
+from repro.pic import Simulation, SimulationConfig, SimulationResult, config_from_dict
 from repro.workloads import FIG16_CASES, FIG17_CASE, FIG20_CASE, TABLE2_CASES
 from repro.workloads.scenarios import PaperCase
 
@@ -88,16 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--vth", type=float, default=0.05)
     run.add_argument("--field-solver", default="maxwell", choices=["maxwell", "electrostatic"])
-    run.add_argument("--engine", default="flat", choices=["flat", "looped"],
-                     help="execution engine: pooled flat-rank kernels or per-rank loops")
     run.add_argument("--kernel", default="era", choices=["era", "modern"],
                      help="era = paper's CIC + collocated FDTD; modern = Yee + zigzag")
     run.add_argument("--guards", default="off", choices=["off", "warn", "strict"],
                      help="invariant guards: warn reports conservation/finiteness "
                           "violations, strict raises SimulationIntegrityError")
     run.add_argument("--workers", default="0", metavar="N|auto",
-                     help="worker processes for the multicore flat backend "
-                          "(engine=flat, kernel=era only); 'auto' uses the "
+                     help="worker processes for the multicore backend "
+                          "(kernel=era only); 'auto' uses the "
                           "available cores; results are bit-identical for "
                           "every worker count")
     run.add_argument("--fault-plan", metavar="FILE.json",
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bpol = bench_sub.add_parser(
         "policy",
-        help="run the policy x workload x engine matrix and crown per-workload winners",
+        help="run the policy x workload matrix and crown per-workload winners",
     )
     bpol.add_argument("--policy", action="append", default=None, metavar="SPEC",
                       help="policy spec to include (repeatable; default: the full zoo)")
@@ -317,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="CLASS",
                       help="workload class: uniform | clustered | drifting "
                            "(repeatable; default: all three)")
-    bpol.add_argument("--engine", action="append", default=None,
-                      metavar="ENGINE",
-                      help="execution engine: flat | looped (repeatable; default: both)")
     bpol.add_argument("--smoke", action="store_true",
                       help="CI scale: fewer particles and iterations, same matrix shape")
     bpol.add_argument("--output", metavar="PATH", default="BENCH_policies.json",
@@ -343,16 +338,12 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         ghost_table=args.ghost_table,
         field_solver=args.field_solver,
         kernel=args.kernel,
-        engine=args.engine,
         seed=args.seed,
         vth=args.vth,
         guards=args.guards,
     )
     if args.config:
-        from dataclasses import fields as dataclass_fields
         from pathlib import Path
-
-        from repro.machine.model import MachineModel
 
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -364,22 +355,8 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             raise SystemExit(f"config file {args.config} must contain a JSON object")
         # Every SimulationConfig field is a valid config key — including
         # density / dt / nbuckets, which have no CLI flag — plus "model"
-        # as a preset name or full constants dict.
-        valid = {f.name for f in dataclass_fields(SimulationConfig)}
-        unknown = set(loaded) - valid
-        if unknown:
-            raise SystemExit(f"unknown config keys in {args.config}: {sorted(unknown)}")
-        model = loaded.pop("model", None)
-        if model is not None:
-            try:
-                if isinstance(model, str):
-                    loaded["model"] = MachineModel.by_name(model)
-                elif isinstance(model, dict):
-                    loaded["model"] = MachineModel.from_dict(model)
-                else:
-                    raise ValueError(f"model must be a name or a dict, got {model!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise SystemExit(f"bad machine model in {args.config}: {exc}")
+        # as a preset name or full constants dict; config_from_dict below
+        # parses the model and rejects unknown keys.
         kwargs.update(loaded)
         # explicit command-line flags win over the file
         defaults = build_parser().parse_args(["run"])
@@ -389,7 +366,7 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             ("scheme", "scheme"), ("policy", "policy"), ("movement", "movement"),
             ("partitioning", "partitioning"), ("ghost_table", "ghost_table"),
             ("field_solver", "field_solver"), ("kernel", "kernel"),
-            ("engine", "engine"), ("seed", "seed"), ("vth", "vth"),
+            ("seed", "seed"), ("vth", "vth"),
             ("guards", "guards"),
         ):
             value = getattr(args, cli_name)
@@ -401,7 +378,11 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             known = ", ".join(sorted(cases))
             raise SystemExit(f"unknown case {args.case!r}; known cases: {known}")
         kwargs.update(cases[args.case].config_kwargs())
-    return SimulationConfig(**kwargs)
+    try:
+        return config_from_dict(kwargs)
+    except ValueError as exc:
+        source = f"config file {args.config}" if args.config else "run options"
+        raise SystemExit(f"bad {source}: {exc}")
 
 
 def _summary_dict(result: SimulationResult) -> dict:
@@ -902,7 +883,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def _cmd_bench_policy(args: argparse.Namespace) -> int:
     from repro.bench.policy_suite import (
-        ENGINES,
         ZOO_SPECS,
         render_matrix,
         run_policy_matrix,
@@ -916,10 +896,6 @@ def _cmd_bench_policy(args: argparse.Namespace) -> int:
             make_policy(spec)
         except ValueError as exc:
             raise SystemExit(f"--policy: {exc}")
-    engines = tuple(args.engine) if args.engine else ENGINES
-    for engine in engines:
-        if engine not in ENGINES:
-            raise SystemExit(f"--engine must be one of {ENGINES}, got {engine!r}")
 
     def progress(name: str) -> None:
         print(f"[policy] {name} ...", file=sys.stderr, flush=True)
@@ -928,7 +904,6 @@ def _cmd_bench_policy(args: argparse.Namespace) -> int:
         doc = run_policy_matrix(
             policies,
             args.workload,
-            engines,
             smoke=args.smoke,
             progress=progress,
         )
@@ -940,7 +915,7 @@ def _cmd_bench_policy(args: argparse.Namespace) -> int:
     else:
         print(render_matrix(doc))
     print(f"[written to {path}]", file=sys.stderr)
-    return 0 if doc["engine_parity"] else 1
+    return 0
 
 
 def _cmd_bench_list(args: argparse.Namespace) -> int:

@@ -5,7 +5,7 @@ across a persistent pool of forked worker processes operating on
 ``multiprocessing.shared_memory``-backed numpy segments.  Worker
 parallelism is an *execution detail*: virtual-machine accounting, comm
 statistics, RNG streams, checkpoints, and telemetry are computed in the
-main process exactly as the in-process engines compute them, so results
+main process exactly as the in-process stepper computes them, so results
 are bit-identical for every worker count (DESIGN.md §5.5).
 
 Entry point: :func:`create_backend` (graceful ``None`` fallback), wired

@@ -12,7 +12,7 @@ the determinism contract of DESIGN.md §5.5:
   node its depositing rank owns, so every node's sum draws on exactly
   one rank's entries, in pool order.  One node-keyed ``bincount`` over
   a shard, written back only at the nodes the shard's ranks own, is
-  therefore bit-identical to the looped engine's per-rank accumulation
+  therefore bit-identical to a per-rank accumulation
   (every other rank contributes an exact ``0.0`` there).  Worker shards
   are unions of whole rank segments and write disjoint node sets, so
   the result never depends on the worker count;

@@ -17,13 +17,13 @@ duplicates with one ``unique``/``bincount`` — per-rank results come back
 as contiguous segments of the sorted unique keys.
 
 Association contract: a "mine" entry only touches a node its depositing
-rank owns, so both engines (and the multicore backend's
-:mod:`repro.parallel_exec.kernels`) sum each node's on-rank entries from
-its owner alone, in pool order — the looped engine with one bincount per
-rank, the flat engine with one node-keyed bincount — and every float
-addition happens in the same order everywhere: deposition results are
-bit-identical across engines and worker counts, not merely close
-(DESIGN.md §5.5).
+rank owns, so the pooled scatter (and the multicore backend's
+:mod:`repro.parallel_exec.kernels`) sums each node's on-rank entries
+from its owner alone, in pool order, with one node-keyed bincount —
+exactly the additions a per-rank SPMD loop with one bincount per rank
+performs (the looped test oracle).  Deposition results are
+bit-identical across that oracle and every worker count, not merely
+close (DESIGN.md §5.5).
 """
 
 from __future__ import annotations

@@ -78,11 +78,11 @@ class GhostTable(ABC):
         The flat-rank engine deduplicates all ranks' ghost entries in one
         pooled pass (rank-offset node keys + a single ``unique``/
         ``bincount``), bypassing the per-rank tables — but the virtual
-        machine's accounting must stay byte-identical to the looped
-        engine.  This method applies exactly the ``stats`` updates that
+        machine's accounting must stay byte-identical to a per-rank
+        scatter.  This method applies exactly the ``stats`` updates that
         ``accumulate(<n_entries entries>)`` followed by ``flush()``
         (yielding ``n_unique`` nodes) would have applied, and returns the
-        op-count delta the looped scatter would charge for the epoch.
+        op-count delta a per-rank scatter would charge for the epoch.
         """
 
     def _check(self, nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,27 +24,26 @@ boundary is *physically communicated* first, and the integration tests
 assert that the received buffers equal the owners' data and that the
 whole parallel run matches :class:`repro.pic.sequential.SequentialPIC`.
 
-Execution engines
------------------
-Two engines drive the SPMD phases:
+Execution
+---------
+Each phase runs as a *single* vectorized NumPy pass over all ranks'
+particles, the way the paper's CM-5 code ran each phase as one
+bulk-synchronous data-parallel operation: the particles live in one
+:class:`~repro.particles.arrays.ParticlePool` with segment offsets, and
+scatter / gather / push / Eulerian migration each run once over the pool
+(segmented duplicate removal via rank-offset node keys, one pooled
+owner/ghost split, one Boris push).  Per-rank results are recovered by
+slicing at segment boundaries, and every op count is still charged per
+rank, in rank order.
 
-* ``engine="flat"`` (default) — the **pooled flat-rank engine**: all
-  ranks' particles live in one :class:`~repro.particles.arrays.ParticlePool`
-  with segment offsets, and scatter / gather / push / Eulerian migration
-  each run as *single* vectorized NumPy passes over the pool (segmented
-  duplicate removal via rank-offset node keys, one pooled owner/ghost
-  split, one Boris push).  Per-rank results are recovered by slicing at
-  segment boundaries.
-* ``engine="looped"`` — the reference per-rank implementation: every
-  phase iterates ``for r in range(p)`` and calls the kernels on that
-  rank's arrays, exactly as a real SPMD program would.
-
-The two engines are **accounting-invariant**: they charge the same
-per-rank op counts in the same order and move byte-identical messages,
-so ``vm.elapsed()``, ``vm.ops``, and all communication statistics agree
-exactly — only host wall-clock differs (the flat engine removes the
-O(p) Python interpreter overhead per phase).  ``tests/test_engine_parity.py``
-pins this contract.
+The per-rank reference implementation — every phase iterating
+``for r in range(p)`` over that rank's arrays, as a message-passing SPMD
+program would — lives on only as a test oracle
+(``tests/looped_reference.py``).  The pooled passes are
+**accounting-invariant** against it: the same per-rank op counts in the
+same order and byte-identical messages, so ``vm.elapsed()``,
+``vm.ops``, all communication statistics, and the physics agree bit for
+bit.  ``tests/test_engine_parity.py`` pins this contract.
 """
 
 from __future__ import annotations
@@ -57,18 +56,14 @@ from repro.obs.profile import maybe_section
 from repro.mesh.fields import FieldState
 from repro.mesh.halo import HaloSchedule
 from repro.particles.arrays import ParticleArray, ParticlePool
-from repro.pic.deposition import CHANNELS, deposition_entries
+from repro.pic.deposition import CHANNELS
 from repro.pic.ghost import make_ghost_table
 from repro.pic.interpolation import gather_from_node_values
 from repro.pic.maxwell import MaxwellSolver
 from repro.pic.poisson import PoissonSolver
 from repro.pic.push import boris_push
 from repro.pic.smoothing import binomial_smooth
-from repro.machine.collectives import (
-    alltoall_concat,
-    exchange_by_destination,
-    exchange_by_destination_pooled,
-)
+from repro.machine.collectives import alltoall_concat, exchange_by_destination_pooled
 from repro.parallel_exec.kernels import scatter_segment
 from repro.util import require
 
@@ -107,12 +102,8 @@ class ParallelPIC:
         row/column transpose is physically exchanged through the
         machine — the global-communication pattern of the
         replicated-mesh codes the paper contrasts against).
-    engine:
-        ``"flat"`` (pooled single-pass kernels, the default) or
-        ``"looped"`` (per-rank reference loops).  Both produce identical
-        virtual-machine accounting; see the module docstring.
     workers:
-        Number of OS worker processes for the flat engine's hot kernels
+        Number of OS worker processes for the pooled hot kernels
         (0/1 = in-process).  Ignored with a warning when the platform
         cannot support the multicore backend; results are bit-identical
         either way (the three-way parity contract, DESIGN.md §5.5).
@@ -140,7 +131,6 @@ class ParallelPIC:
         movement: str = "lagrangian",
         smoothing_passes: int = 1,
         field_solver: str = "maxwell",
-        engine: str = "flat",
         workers: int = 0,
         backend=None,
         collect_debug: bool = False,
@@ -153,14 +143,8 @@ class ParallelPIC:
             field_solver in ("maxwell", "electrostatic"),
             f"unknown field_solver {field_solver!r}",
         )
-        require(engine in ("looped", "flat"), f"unknown engine {engine!r}")
-        require(
-            backend is None or engine == "flat",
-            "worker backends apply only to the flat engine",
-        )
         self._owns_backend = False
         if backend is None and workers not in (0, 1, None):
-            require(engine == "flat", "workers apply only to the flat engine")
             from repro.parallel_exec import create_backend
 
             backend = create_backend(workers, grid)
@@ -174,7 +158,6 @@ class ParallelPIC:
         self.decomp = decomp
         self.particles = list(local_particles)
         self.movement = movement
-        self.engine = engine
         self.collect_debug = collect_debug
         self.fields = FieldState.zeros(grid)
         self.solver = MaxwellSolver(grid)
@@ -193,22 +176,19 @@ class ParallelPIC:
         #: the hot path free of guard work.
         self.guard = None
         #: optional :class:`repro.obs.profile.PhaseProfiler` opening
-        #: host-wall sections around the flat engine's kernels; ``None``
+        #: host-wall sections around the pooled kernels; ``None``
         #: (default) keeps one dormant branch per kernel call.  The
         #: profiler never touches the virtual clocks (DESIGN.md §5.8).
         self.profiler = None
         # Ghost schedule of the latest scatter: _ghost_nodes[r][owner] =
         # node ids rank r contributed to that are owned by `owner`.
         self._ghost_nodes: list[dict[int, np.ndarray]] = [dict() for _ in range(vm.p)]
-        # Per-rank CIC (nodes, weights) computed by the latest scatter,
-        # keyed by particle-array identity.  Particle positions do not
-        # change between scatter and gather (the push runs after the
-        # gather), so the gather reuses the scatter's vertex evaluation
-        # instead of recomputing it; the cache is dropped once consumed.
-        self._cic_cache: list[tuple[ParticleArray, np.ndarray, np.ndarray]] | None = None
-        # Flat-engine state: the particle pool (lazily rebuilt whenever
-        # self.particles is replaced from outside, e.g. by the
-        # redistributor) and the pooled CIC cache of the latest scatter.
+        # The particle pool (lazily rebuilt whenever self.particles is
+        # replaced from outside, e.g. by the redistributor) and the pooled
+        # CIC (nodes, weights) of the latest scatter.  Particle positions
+        # do not change between scatter and gather (the push runs after
+        # the gather), so the gather reuses the scatter's vertex
+        # evaluation; the cache is dropped once consumed.
         self._pool: ParticlePool | None = None
         self._cic_pool_cache: tuple[ParticlePool, np.ndarray, np.ndarray] | None = None
         # Test hooks (populated only when collect_debug=True): the most
@@ -218,7 +198,7 @@ class ParallelPIC:
         self.last_gather_messages: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
 
     # ------------------------------------------------------------------
-    # flat-engine pool management
+    # particle-pool management
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ParticlePool:
         """Return the current particle pool, rebuilding it if stale.
@@ -253,97 +233,20 @@ class ParallelPIC:
     # scatter phase
     # ------------------------------------------------------------------
     def scatter(self) -> None:
-        """Deposit rho and J with ghost-point communication."""
-        if self.engine == "flat":
-            acc = self._scatter_flat()
-        else:
-            acc = self._scatter_looped()
-        self._finish_scatter(acc)
+        """Deposit rho and J with ghost-point communication.
 
-    def _scatter_looped(self) -> np.ndarray:
-        """Per-rank reference scatter; returns the accumulated channels."""
-        vm = self.vm
-        grid = self.grid
-        nnodes = grid.nnodes
-        acc = np.zeros((len(CHANNELS), nnodes))
-        sends: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-        ghost_nodes: list[dict[int, np.ndarray]] = []
-        cic_cache: list[tuple[ParticleArray, np.ndarray, np.ndarray]] = []
-        nchannels = len(CHANNELS)
-        with vm.phase("scatter"):
-            table_ops = np.zeros(vm.p)
-            for r in range(vm.p):
-                parts = self.particles[r]
-                vertices = grid.cic_vertices_weights(parts.x, parts.y)
-                cic_cache.append((parts, vertices[0], vertices[1]))
-                nodes, values = deposition_entries(grid, parts, vertices)
-                flat_nodes = nodes.ravel()
-                flat_values = values.reshape(nchannels, -1)
-                owners = self.node_owner[flat_nodes]
-                mine = owners == r
-                ghost_idx = np.flatnonzero(~mine)
-                if ghost_idx.size:
-                    mine_idx = np.flatnonzero(mine)
-                    nodes_mine = flat_nodes.take(mine_idx)
-                    values_mine = flat_values.take(mine_idx, axis=1)
-                else:
-                    nodes_mine = flat_nodes
-                    values_mine = flat_values
-                # On-rank contributions accumulate directly.
-                for c in range(nchannels):
-                    acc[c] += np.bincount(
-                        nodes_mine, weights=values_mine[c], minlength=nnodes
-                    )
-                chunk: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                ghosts: dict[int, np.ndarray] = {}
-                if ghost_idx.size:
-                    # Off-rank contributions: duplicate removal + coalescing.
-                    table = self.ghost_tables[r]
-                    ops_before = table.stats.ops
-                    table.accumulate(
-                        flat_nodes.take(ghost_idx), flat_values.take(ghost_idx, axis=1)
-                    )
-                    uniq, summed = table.flush()
-                    table_ops[r] = table.stats.ops - ops_before
-                    ghost_owner = self.node_owner[uniq]
-                    for owner in np.unique(ghost_owner):
-                        sel = ghost_owner == owner
-                        ids = uniq[sel]
-                        chunk[int(owner)] = (ids, np.ascontiguousarray(summed[:, sel]))
-                        ghosts[int(owner)] = ids
-                sends.append(chunk)
-                ghost_nodes.append(ghosts)
-            vm.charge_ops("scatter", np.array([4.0 * p.n for p in self.particles]))
-            vm.charge_ops("table", table_ops)
-
-            recv = vm.alltoallv(sends)
-            merge_ops = np.zeros(vm.p)
-            for r in range(vm.p):
-                for _, (ids, vals) in sorted(recv[r].items()):
-                    for c in range(len(CHANNELS)):
-                        acc[c] += np.bincount(ids, weights=vals[c], minlength=nnodes)
-                    merge_ops[r] += ids.size
-            vm.charge_ops("table", merge_ops)
-
-        self._ghost_nodes = ghost_nodes
-        self._cic_cache = cic_cache
-        return acc
-
-    def _scatter_flat(self) -> np.ndarray:
-        """Pooled scatter: one vectorized pass over all ranks' particles.
-
-        Identical accounting to :meth:`_scatter_looped`: the same op
-        counts are charged in the same order and every exchanged message
-        carries byte-identical (ids, values) payloads — the pooled
-        duplicate removal reproduces each rank's ghost-table output
-        bit-for-bit (entries stay in per-rank order inside the pool).
+        One pass over the pool deposits every rank's particles.  Each
+        exchanged message carries the (ids, values) payload of that
+        rank's ghost table: the pooled duplicate removal keeps entries
+        in per-rank order inside the pool, so it reproduces each rank's
+        table output bit-for-bit.
 
         Deposition accumulates into one owner-keyed ``(channels,
         nnodes)`` array: each node's on-rank sum comes from its owning
-        rank alone, in pool order, and ghost messages merge in the
-        looped engine's order, so the accumulated channels are also
-        bit-identical to the looped engine — and independent of how a
-        multicore backend shards the pool across workers.
+        rank alone, in pool order, and ghost messages merge in rank
+        order, so the accumulated channels equal a per-rank SPMD
+        deposition bit-for-bit — and do not depend on how a multicore
+        backend shards the pool across workers.
         """
         vm = self.vm
         grid = self.grid
@@ -385,8 +288,8 @@ class ParallelPIC:
 
             with maybe_section(prof, "ghost_merge"):
                 recv = vm.alltoallv(sends)
-                # Merge received ghost contributions in the looped engine's
-                # order — destinations in rank order, sources sorted.  Ids
+                # Merge received ghost contributions in SPMD order —
+                # destinations in rank order, sources sorted.  Ids
                 # are unique within a message, so an in-place fancy-index
                 # add equals its full-width bincount bit-for-bit.
                 merge_ops = np.zeros(p)
@@ -397,8 +300,7 @@ class ParallelPIC:
                 vm.charge_ops("table", merge_ops)
 
         self._ghost_nodes = ghost_nodes
-        self._cic_cache = None
-        return acc
+        self._finish_scatter(acc)
 
     def _finish_scatter(self, acc: np.ndarray) -> None:
         """Scale, smooth, and install the deposited sources."""
@@ -484,13 +386,6 @@ class ParallelPIC:
     # ------------------------------------------------------------------
     # gather + push phases
     # ------------------------------------------------------------------
-    def gather_push(self) -> None:
-        """Return ghost-node fields to contributors, interpolate, push."""
-        if self.engine == "flat":
-            self._gather_push_flat()
-        else:
-            self._gather_push_looped()
-
     def _gather_sends(
         self, node_values: np.ndarray
     ) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -504,42 +399,13 @@ class ParallelPIC:
                 sends[owner][r] = (ids, np.ascontiguousarray(node_values[:, ids]))
         return sends
 
-    def _gather_push_looped(self) -> None:
-        vm = self.vm
-        grid = self.grid
-        node_values = self._field_node_values()
-        with vm.phase("gather"):
-            recv = vm.alltoallv(self._gather_sends(node_values))
-            if self.collect_debug:
-                self.last_gather_messages = recv
-            vm.charge_ops("gather", np.array([4.0 * p.n for p in self.particles]))
-            cached = self._cic_cache
-            self._cic_cache = None  # positions change in the push below
-            eb = []
-            for r in range(vm.p):
-                parts = self.particles[r]
-                if cached is not None and cached[r][0] is parts:
-                    nodes, weights = cached[r][1], cached[r][2]
-                else:
-                    nodes, weights = grid.cic_vertices_weights(parts.x, parts.y)
-                both = gather_from_node_values(node_values, nodes, weights)
-                eb.append(both)
-        with vm.phase("push"):
-            vm.charge_ops("push", np.array([float(p.n) for p in self.particles]))
-            for r in range(vm.p):
-                parts = self.particles[r]
-                if parts.n:
-                    boris_push(grid, parts, eb[r][:3], eb[r][3:], self.dt)
-        if self.movement == "eulerian":
-            self._migrate_eulerian()
+    def gather_push(self) -> None:
+        """Return ghost-node fields to contributors, interpolate, push.
 
-    def _gather_push_flat(self) -> None:
-        """Pooled gather + push: one interpolation and one Boris pass.
-
-        The ghost-field exchange is identical to the looped engine (same
-        ``_ghost_nodes`` schedule, same payloads); interpolation and the
-        push are per-particle independent, so running them once over the
-        pool is bit-identical to per-rank execution.
+        Owners send E and B back along the scatter's ``_ghost_nodes``
+        schedule; interpolation and the Boris push are per-particle
+        independent, so running them once over the pool is
+        bit-identical to per-rank execution.
         """
         vm = self.vm
         grid = self.grid
@@ -591,30 +457,9 @@ class ParallelPIC:
         self.halo = HaloSchedule(decomp)
 
     def _migrate_eulerian(self) -> None:
-        """Move particles to the owner of their (new) cell."""
-        if self.engine == "flat":
-            self._migrate_eulerian_flat()
-        else:
-            self._migrate_eulerian_looped()
+        """Move particles to the owner of their (new) cell.
 
-    def _migrate_eulerian_looped(self) -> None:
-        vm = self.vm
-        with vm.phase("migration"):
-            payloads = []
-            dests = []
-            for r in range(vm.p):
-                parts = self.particles[r]
-                cells = self.grid.cell_id_of_positions(parts.x, parts.y)
-                owner = self.decomp.owner_of_cells(cells)
-                payloads.append(parts.to_matrix())
-                dests.append(owner)
-            vm.charge_ops("index", np.array([float(p.n) for p in self.particles]))
-            received = exchange_by_destination(vm, payloads, dests)
-            self.particles = [ParticleArray.from_matrix(m) for m in received]
-            self._pool = None
-
-    def _migrate_eulerian_flat(self) -> None:
-        """Pooled Eulerian migration: one owner lookup, one sorted exchange.
+        Pooled: one owner lookup, one sorted exchange.
 
         With a multicore backend the owner lookup, per-segment stable
         destination sort, and transport-matrix packing all run in the
@@ -691,6 +536,5 @@ class ParallelPIC:
     def __repr__(self) -> str:
         return (
             f"ParallelPIC(p={self.vm.p}, grid={self.grid!r}, "
-            f"n={sum(p.n for p in self.particles)}, movement={self.movement!r}, "
-            f"engine={self.engine!r})"
+            f"n={sum(p.n for p in self.particles)}, movement={self.movement!r})"
         )

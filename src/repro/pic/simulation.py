@@ -10,6 +10,7 @@ bytes and max messages) and the end-of-run totals its tables report.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -29,12 +30,12 @@ from repro.machine.trace import PhaseTrace
 from repro.machine.virtual import VirtualMachine
 from repro.mesh.decomposition import CurveBlockDecomposition, MeshDecomposition, balanced_splits
 from repro.mesh.grid import Grid2D
-from repro.particles.arrays import ParticleArray
+from repro.particles.arrays import MATRIX_COLUMNS, ParticleArray
 from repro.particles.init import gaussian_blob, ring_distribution, two_stream, uniform_plasma
 from repro.pic.checkpoint import CheckpointData, CheckpointError, load_checkpoint, save_checkpoint
 from repro.pic.parallel import ParallelPIC
 from repro.util import require
-from repro.util.errors import RankFailure
+from repro.util.errors import RankFailure, SimulationIntegrityError
 from repro.util.guards import GUARD_MODES, InvariantGuard
 
 __all__ = [
@@ -75,7 +76,6 @@ class SimulationConfig:
     ghost_table: str = "hash"  #: hash | direct
     field_solver: str = "maxwell"  #: maxwell | electrostatic (era kernel only)
     kernel: str = "era"  #: era (CIC + collocated FDTD, the paper) | modern (Yee + zigzag)
-    engine: str = "flat"  #: flat (pooled kernels) | looped (per-rank loops; era kernel only)
     model: MachineModel = field(default_factory=MachineModel.cm5)
     dt: float | None = None
     seed: int = 0
@@ -101,12 +101,7 @@ class SimulationConfig:
                 "adaptive partitioning rebalances cell ownership and requires eulerian movement",
             )
         require(self.kernel in ("era", "modern"), f"unknown kernel {self.kernel!r}")
-        require(self.engine in ("looped", "flat"), f"unknown engine {self.engine!r}")
         if self.kernel == "modern":
-            require(
-                self.engine == "flat",
-                "the modern kernel has no looped/flat engine split",
-            )
             require(
                 self.movement == "lagrangian" and self.partitioning == "independent",
                 "the modern kernel supports lagrangian movement with independent partitioning",
@@ -157,19 +152,39 @@ def config_from_dict(data: dict) -> SimulationConfig:
 
     ``model`` may be a preset name string or a full constants dict.
     Unknown keys raise ``ValueError`` naming them.
+
+    A legacy ``"engine"`` key (``"flat"`` or ``"looped"``, written by
+    releases that still had the per-rank looped stepper; both produced
+    identical results) is dropped with a ``FutureWarning``, so old
+    checkpoints, job specs, and config files keep loading.  The category
+    is one Python shows by default: the key comes from files that end
+    users wrote, not from code a developer can update.
     """
     data = dict(data)
+    if "engine" in data:
+        engine = data.pop("engine")
+        if engine not in ("flat", "looped"):
+            raise ValueError(f"unknown engine {engine!r}")
+        warnings.warn(
+            f"config key 'engine' ({engine!r}) is obsolete and ignored: "
+            "every run uses the pooled stepper",
+            FutureWarning,
+            stacklevel=2,
+        )
     valid = {f.name for f in dataclass_fields(SimulationConfig)}
     unknown = set(data) - valid
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     model = data.pop("model", None)
-    if isinstance(model, str):
-        data["model"] = MachineModel.by_name(model)
-    elif isinstance(model, dict):
-        data["model"] = MachineModel.from_dict(model)
-    elif model is not None:
-        data["model"] = model
+    try:
+        if isinstance(model, str):
+            data["model"] = MachineModel.by_name(model)
+        elif isinstance(model, dict):
+            data["model"] = MachineModel.from_dict(model)
+        elif model is not None:
+            data["model"] = model
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad machine model {model!r}: {exc}") from exc
     return SimulationConfig(**data)
 
 
@@ -289,7 +304,7 @@ class Simulation:
     as the uninterrupted run (the exact-resume contract, DESIGN.md §5.2).
 
     ``workers`` (int or ``"auto"``) enables the multicore shared-memory
-    backend for the flat engine's hot kernels.  It is deliberately *not*
+    backend for the stepper's pooled hot kernels.  It is deliberately *not*
     part of :class:`SimulationConfig`: worker count is an execution
     detail — results, checkpoints, and telemetry are byte-stable across
     worker counts (DESIGN.md §5.5) — so it never appears in serialized
@@ -334,7 +349,7 @@ class Simulation:
 
         requested = resolve_workers(workers)
         if requested > 1:
-            if config.engine == "flat" and config.kernel == "era":
+            if config.kernel == "era":
                 from repro.parallel_exec import create_backend
 
                 reasons: list[str] = []
@@ -347,22 +362,13 @@ class Simulation:
                         "reason": reasons[0] if reasons else "backend unavailable",
                     }
             else:
-                import warnings
-
-                self.degraded = {
-                    "requested_workers": requested,
-                    "reason": (
-                        f"the multicore backend applies only to engine='flat' "
-                        f"with kernel='era' (got engine={config.engine!r}, "
-                        f"kernel={config.kernel!r})"
-                    ),
-                }
+                reason = (
+                    f"the multicore backend applies only to kernel='era' "
+                    f"(got kernel={config.kernel!r})"
+                )
+                self.degraded = {"requested_workers": requested, "reason": reason}
                 warnings.warn(
-                    f"workers={workers!r} ignored: the multicore backend "
-                    f"applies only to engine='flat' with kernel='era' "
-                    f"(got engine={config.engine!r}, kernel={config.kernel!r})",
-                    RuntimeWarning,
-                    stacklevel=2,
+                    f"workers={workers!r} ignored: {reason}", RuntimeWarning, stacklevel=2
                 )
         self.redistributor: Redistributor | None = None
         self.rebalancer = None
@@ -415,7 +421,6 @@ class Simulation:
                 ghost_table=config.ghost_table,
                 movement=config.movement,
                 field_solver=config.field_solver,
-                engine=config.engine,
                 backend=self.backend,
             )
         #: invariant guard (None when ``config.guards == "off"``: the hot
@@ -492,7 +497,7 @@ class Simulation:
         """Attach a :class:`~repro.obs.profile.PhaseProfiler` to this run.
 
         The virtual machine opens a host-wall section per phase and the
-        flat engine nests kernel sections inside (worker-process handler
+        stepper nests kernel sections inside (worker-process handler
         timings included, drained at :meth:`save_profile`).  Idempotent;
         returns the profiler.  Profiling only reads the host clock —
         results, ``vm.elapsed()``, and ``vm.ops`` stay bit-identical to
@@ -735,6 +740,34 @@ class Simulation:
                     )
         return self.result()
 
+    def _check_finite(self) -> None:
+        """Refuse to publish NaN or Inf state as a result or checkpoint.
+
+        Always on, whatever ``config.guards`` says: one O(N) pass over
+        the particle columns and the field arrays, made by
+        :meth:`result` (so at the end of every :meth:`run` call) and by
+        :meth:`checkpoint`.  A poisoned state therefore never reaches a
+        checkpoint that a retry could resume from already finished.
+        The :class:`~repro.util.errors.SimulationIntegrityError` it
+        raises is a ``ReproError``, so the job service reports the job
+        as failed and never caches its result.
+        """
+        bad = [
+            name
+            for name in MATRIX_COLUMNS
+            if not all(np.isfinite(getattr(p, name)).all() for p in self.pic.particles)
+        ]
+        fields = self.pic.fields
+        bad += [
+            f.name
+            for f in dataclass_fields(fields)
+            if not np.isfinite(getattr(fields, f.name)).all()
+        ]
+        if bad:
+            raise SimulationIntegrityError(
+                f"non-finite values in {', '.join(bad)} at iteration {self.iteration}"
+            )
+
     def _on_walltime_expired(
         self,
         walltime: float,
@@ -913,7 +946,6 @@ class Simulation:
                 ghost_table=cfg.ghost_table,
                 movement=cfg.movement,
                 field_solver=cfg.field_solver,
-                engine=cfg.engine,
                 backend=self.backend,
             )
         self.pic.fields = fields
@@ -945,7 +977,12 @@ class Simulation:
         self._wire_profiler()
 
     def result(self) -> SimulationResult:
-        """The :class:`SimulationResult` of the history run so far."""
+        """The :class:`SimulationResult` of the history run so far.
+
+        Raises :class:`~repro.util.errors.SimulationIntegrityError` when
+        the state holds a NaN or Inf (see :meth:`_check_finite`).
+        """
+        self._check_finite()
         vm = self.vm
         return SimulationResult(
             config=self.config,
@@ -1006,8 +1043,12 @@ class Simulation:
         decomposition bounds, the redistributor's build-time sort keys,
         and the per-iteration record history.  The write is atomic (temp
         file + ``os.replace``): a crash mid-write never leaves a file
-        :func:`~repro.pic.checkpoint.load_checkpoint` accepts.
+        :func:`~repro.pic.checkpoint.load_checkpoint` accepts.  A state
+        holding a NaN or Inf is refused with
+        :class:`~repro.util.errors.SimulationIntegrityError` and nothing
+        is written.
         """
+        self._check_finite()
         run_state = {
             "config": config_to_dict(self.config, full_model=True),
             "vm": self.vm.state_dict(),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_series, efficiency, format_table, speedup
+from repro.analysis import efficiency, speedup
+from repro.telemetry import ascii_series, format_table
 
 
 class TestSpeedupEfficiency:

@@ -16,6 +16,7 @@ import pytest
 from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
 from repro.util.errors import FaultError, ReproError, SimulationIntegrityError
+from tests.looped_reference import use_engine
 
 _BASE = dict(
     nx=32,
@@ -48,8 +49,8 @@ def _config(**kw):
     return SimulationConfig(**merged)
 
 
-def _fault_free(engine):
-    return Simulation(_config(engine=engine)).run(_NITERS)
+def _fault_free():
+    return Simulation(_config()).run(_NITERS)
 
 
 def _assert_summaries_close(actual, expected, atol=1e-12):
@@ -67,14 +68,19 @@ _FAULTS = {
 
 
 class TestChaosMatrix:
-    """{flat, looped} x {drop, duplicate, corrupt, rank-kill} x {warn, strict}."""
+    """{flat, looped} x {drop, duplicate, corrupt, rank-kill} x {warn, strict}.
+
+    ``looped`` runs the per-rank test oracle (tests/looped_reference.py)
+    through the same faults, so fault recovery cannot depend on the
+    pooled stepper's internals."""
 
     @pytest.mark.parametrize("engine", ["flat", "looped"])
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     @pytest.mark.parametrize("guards", ["warn", "strict"])
-    def test_exact_recovery_or_typed_error(self, engine, fault, guards, tmp_path):
-        reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine, guards=guards))
+    def test_exact_recovery_or_typed_error(self, engine, fault, guards, tmp_path, monkeypatch):
+        use_engine(monkeypatch, engine)
+        reference = _fault_free()
+        sim = Simulation(_config(guards=guards))
         sim.install_faults(FaultPlan(events=(_FAULTS[fault],)))
         try:
             with warnings.catch_warnings():
@@ -123,9 +129,10 @@ class TestCheckpointRecoveryEquivalence:
     <= k finishes identical (atol=1e-12) to the fault-free run."""
 
     @pytest.mark.parametrize("engine", ["flat", "looped"])
-    def test_recovery_matches_fault_free(self, engine, tmp_path):
-        reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine))
+    def test_recovery_matches_fault_free(self, engine, tmp_path, monkeypatch):
+        use_engine(monkeypatch, engine)
+        reference = _fault_free()
+        sim = Simulation(_config())
         sim.install_faults(
             FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=_KILL_ITER),))
         )
@@ -136,9 +143,10 @@ class TestCheckpointRecoveryEquivalence:
         _assert_summaries_close(result.final_state, reference.final_state)
 
     @pytest.mark.parametrize("engine", ["flat", "looped"])
-    def test_recovery_time_on_the_clock(self, engine, tmp_path):
-        reference = _fault_free(engine)
-        sim = Simulation(_config(engine=engine))
+    def test_recovery_time_on_the_clock(self, engine, tmp_path, monkeypatch):
+        use_engine(monkeypatch, engine)
+        reference = _fault_free()
+        sim = Simulation(_config())
         plan = FaultPlan(events=(FaultEvent(kind="kill", rank=2, iteration=_KILL_ITER),))
         sim.install_faults(plan)
         result = sim.run(_NITERS, checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
@@ -165,7 +173,7 @@ class TestCheckpointRecoveryEquivalence:
 
     def test_double_failure(self, tmp_path):
         """Two kills at different iterations: shrink twice, still exact."""
-        reference = _fault_free("flat")
+        reference = _fault_free()
         sim = Simulation(_config())
         sim.install_faults(
             FaultPlan(

@@ -1,14 +1,19 @@
-"""Looped-vs-flat engine parity: the accounting-invariance contract.
+"""Looped-vs-flat parity: the accounting-invariance contract.
 
-The flat engine replaces ``for r in range(p)`` phase loops with single
-pooled kernels, but the virtual machine must not be able to tell the
-difference: identical virtual time, identical per-category op counts,
-identical per-rank clocks, and identical per-phase message statistics.
-Physical state (particles, fields) is pinned at ``atol=1e-12`` between
-the engines; since the flat scatter adopted the looped engine's per-rank
-deposition association the engines actually agree bit-for-bit, and the
-multicore backend (``workers=N``) is *required* to: sharding may never
-perturb a single bit of state or accounting (DESIGN.md §5.5).
+:class:`~repro.pic.parallel.ParallelPIC` ("flat") replaces the
+``for r in range(p)`` phase loops of the per-rank reference stepper
+(``looped``, the test oracle :class:`tests.looped_reference.LoopedPIC`)
+with single pooled kernels, but the virtual machine must not be able to
+tell the difference: identical virtual time, identical per-category op
+counts, identical per-rank clocks, and identical per-phase message
+statistics.  Physical state (particles, fields) is pinned at
+``atol=1e-12``; the flat scatter uses the oracle's per-rank deposition
+association, so the two actually agree bit-for-bit, and the multicore
+backend (``workers=N``) is *required* to: sharding may never perturb a
+single bit of state or accounting (DESIGN.md §5.5).
+
+The obsolete ``engine`` config key is covered here too: old configs,
+job specs, and checkpoints that still carry it must keep loading.
 """
 
 import multiprocessing
@@ -21,7 +26,9 @@ from repro.machine import MachineModel, VirtualMachine
 from repro.mesh import CurveBlockDecomposition, Grid2D
 from repro.parallel_exec import shared_memory_available
 from repro.particles import ParticleArray, ParticlePool, gaussian_blob, uniform_plasma
-from repro.pic import ParallelPIC
+from repro.pic import Simulation, SimulationConfig, config_from_dict, config_to_dict
+from repro.service import JobSpec
+from tests.looped_reference import looped_engine, pic_class
 
 needs_multicore = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -37,10 +44,10 @@ def _build(engine, *, p=6, movement="lagrangian", ghost_table="hash",
     vm = VirtualMachine(p, MachineModel.cm5())
     decomp = CurveBlockDecomposition(grid, p, "hilbert")
     local = ParticlePartitioner(grid, "hilbert").initial_partition(particles, p)
-    pic = ParallelPIC(
+    pic = pic_class(engine)(
         vm, grid, decomp, local,
         movement=movement, ghost_table=ghost_table,
-        field_solver=field_solver, engine=engine, **kwargs,
+        field_solver=field_solver, **kwargs,
     )
     return vm, pic
 
@@ -220,13 +227,10 @@ class TestPaperScaleParity:
     tests cannot exercise would show."""
 
     @staticmethod
-    def _run(engine, workers):
-        from repro.pic import Simulation, SimulationConfig
-
+    def _run(workers):
         cfg = SimulationConfig(
             nx=128, ny=64, nparticles=32768, p=128, distribution="irregular",
             scheme="hilbert", movement="lagrangian", policy="periodic:2",
-            engine=engine,
         )
         sim = Simulation(cfg, workers=workers)
         try:
@@ -243,9 +247,10 @@ class TestPaperScaleParity:
 
     @needs_multicore
     def test_fig17_p128_looped_flat_workers(self):
-        looped = self._run("looped", 0)
-        assert self._run("flat", 0) == looped
-        assert self._run("flat", 2) == looped
+        with looped_engine():
+            looped = self._run(0)
+        assert self._run(0) == looped
+        assert self._run(2) == looped
 
 
 class TestPoolLifecycle:
@@ -299,6 +304,48 @@ class TestDebugHooks:
 
 
 class TestValidation:
+    """The ``engine`` key of older configs is dropped, not honoured."""
+
+    _LEGACY = dict(nx=16, ny=8, nparticles=256, p=2, seed=1)
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
-            _build("pooled")
+            config_from_dict(dict(self._LEGACY, engine="pooled"))
+
+    @pytest.mark.parametrize("engine", ["flat", "looped"])
+    def test_legacy_engine_key_dropped(self, engine):
+        with pytest.warns(FutureWarning, match="engine"):
+            cfg = config_from_dict(dict(self._LEGACY, engine=engine))
+        assert cfg == config_from_dict(self._LEGACY)
+        assert "engine" not in config_to_dict(cfg)
+
+    def test_job_spec_accepts_legacy_engine_key(self):
+        with pytest.warns(FutureWarning, match="engine"):
+            legacy = JobSpec.from_dict(
+                {"config": dict(self._LEGACY, engine="looped"), "iterations": 2}
+            )
+        current = JobSpec.from_dict({"config": dict(self._LEGACY), "iterations": 2})
+        assert legacy.config == current.config
+        assert legacy.key == current.key
+
+    def test_checkpoint_with_legacy_engine_key_resumes(self, tmp_path, monkeypatch):
+        import repro.pic.simulation as simulation
+        from repro.pic.checkpoint import load_checkpoint
+
+        cfg = SimulationConfig(**self._LEGACY, distribution="irregular", policy="dynamic")
+        full = Simulation(cfg)
+        full.run(6)
+        sim = Simulation(cfg)
+        sim.run(3)
+        with monkeypatch.context() as mp:
+            # write the checkpoint as an older release did: config with "engine"
+            mp.setattr(
+                simulation, "config_to_dict",
+                lambda c, **kw: dict(config_to_dict(c, **kw), engine="looped"),
+            )
+            path = sim.checkpoint(tmp_path / "legacy.npz")
+        assert load_checkpoint(path).run_state["config"]["engine"] == "looped"
+        with pytest.warns(FutureWarning, match="engine"):
+            resumed = Simulation.from_checkpoint(path)
+        resumed.run(3)
+        assert resumed.final_state_summary() == full.final_state_summary()

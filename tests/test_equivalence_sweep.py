@@ -23,7 +23,8 @@ from repro.mesh import (
 )
 from repro.parallel_exec import shared_memory_available
 from repro.particles import gaussian_blob, uniform_plasma
-from repro.pic import ParallelPIC, SequentialPIC
+from repro.pic import SequentialPIC
+from tests.looped_reference import pic_class
 
 _MULTICORE_OK = (
     "fork" in multiprocessing.get_all_start_methods() and shared_memory_available()
@@ -41,8 +42,8 @@ def configurations(draw):
     decomp_kind = draw(st.sampled_from(["curve", "block", "scatter"]))
     movement = draw(st.sampled_from(["lagrangian", "eulerian"]))
     engine = draw(st.sampled_from(["looped", "flat"]))
-    # The multicore backend only exists for the flat engine; elsewhere
-    # (and where fork/shm is unavailable) workers stays 0.
+    # The multicore backend only exists for the pooled stepper; for the
+    # looped oracle (and where fork/shm is unavailable) workers stays 0.
     workers = (
         draw(st.sampled_from([0, 1, 2, 4]))
         if engine == "flat" and _MULTICORE_OK
@@ -73,9 +74,9 @@ class TestEquivalenceSweep:
         else:
             decomp = ScatterDecomposition(grid, p)
         local = ParticlePartitioner(grid, scheme).initial_partition(particles, p)
-        pic = ParallelPIC(
+        pic = pic_class(engine)(
             vm, grid, decomp, local, ghost_table=table, movement=movement,
-            engine=engine, workers=workers,
+            workers=workers,
         )
         seq = SequentialPIC(grid, particles.copy(), dt=pic.dt)
         try:
@@ -97,9 +98,9 @@ class TestEquivalenceSweep:
 
 
 class TestFullMatrix:
-    """Deterministic full sweep of engine x movement x scheme x ranks.
+    """Deterministic full sweep of stepper x movement x scheme x ranks.
 
-    Every combination of {looped, flat} x {lagrangian, eulerian} x
+    Every combination of {looped oracle, flat} x {lagrangian, eulerian} x
     {hilbert, snake, morton, rowmajor} x {1, 3, 4} ranks must reproduce
     the sequential reference.  Agreement is pinned at ``atol=1e-12`` —
     far below any physical scale in the run but above the ~1e-16
@@ -118,7 +119,7 @@ class TestFullMatrix:
         vm = VirtualMachine(p, MachineModel.cm5())
         decomp = CurveBlockDecomposition(grid, p, scheme)
         local = ParticlePartitioner(grid, scheme).initial_partition(particles, p)
-        pic = ParallelPIC(vm, grid, decomp, local, movement=movement, engine=engine)
+        pic = pic_class(engine)(vm, grid, decomp, local, movement=movement)
         seq = SequentialPIC(grid, particles.copy(), dt=pic.dt)
         for _ in range(3):
             pic.step()

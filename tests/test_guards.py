@@ -1,5 +1,8 @@
 """Tests for invariant guards, the exception taxonomy, and strict loads."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,3 +188,66 @@ class TestStrictCheckpointLoad:
     def test_from_checkpoint_guards_validated(self, tmp_path):
         with pytest.raises(ValueError, match="guards"):
             Simulation.from_checkpoint(tmp_path / "nope.npz", guards="loud")
+
+
+class TestNonFiniteRunFails:
+    """A NaN in the state must fail the run, whatever ``guards`` says."""
+
+    @staticmethod
+    def _poisoned_sim(**kw):
+        sim = Simulation(SimulationConfig(nx=16, ny=8, nparticles=256, p=2, seed=1, **kw))
+        sim.pic.particles[0].ux[0] = np.nan
+        return sim
+
+    @pytest.mark.parametrize("guards", ["off", "warn"])
+    def test_nan_particle_raises_at_end_of_run(self, guards):
+        sim = self._poisoned_sim(guards=guards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's invalid-value and guard warnings
+            with pytest.raises(SimulationIntegrityError, match="ux"):
+                sim.run(3)
+
+    def test_poisoned_job_fails_and_is_not_cached(self, tmp_path):
+        from repro.service import JobSpec, Scheduler
+
+        job = JobSpec(
+            config=dict(nx=16, ny=8, nparticles=256, p=2, seed=1),
+            iterations=4,
+            name="poisoned",
+            fault_plan={"events": [{"kind": "poison", "iteration": 1, "phase": "scatter"}]},
+        )
+        report = Scheduler(
+            workers=1, cache=tmp_path / "cache", workdir=tmp_path / "work", retries=0
+        ).run([job])
+        assert not report["ok"]
+        assert report["jobs"][0]["state"] == "failed"
+        assert "non-finite" in json.dumps(report["jobs"][0])
+        assert not list((tmp_path / "cache").rglob("*.json"))
+
+    def test_poisoned_last_iteration_fails_on_every_retry(self, tmp_path):
+        # the poisoned iteration completes a checkpoint interval: a retry
+        # must not resume from a NaN checkpoint at the final iteration
+        # and report the job done
+        from repro.service import JobSpec, Scheduler
+
+        job = JobSpec(
+            config=dict(nx=16, ny=8, nparticles=256, p=2, seed=1),
+            iterations=4,
+            name="poisoned-last",
+            fault_plan={"events": [{"kind": "poison", "iteration": 3, "phase": "scatter"}]},
+        )
+        sched = Scheduler(workers=1, cache=tmp_path / "cache", workdir=tmp_path / "work")
+        assert sched.retries >= 1 and job.iterations % sched.checkpoint_every == 0
+        report = sched.run([job])
+        assert not report["ok"]
+        assert report["jobs"][0]["state"] == "failed"
+        assert report["jobs"][0]["attempts"] == sched.retries + 1
+        assert not list((tmp_path / "cache").rglob("*.json"))
+
+    def test_nan_state_is_never_checkpointed(self, tmp_path):
+        sim = self._poisoned_sim()
+        with pytest.raises(SimulationIntegrityError, match="ux"):
+            sim.checkpoint(tmp_path / "ck.npz")
+        assert not (tmp_path / "ck.npz").exists()
+        with pytest.raises(SimulationIntegrityError, match="ux"):
+            sim.result()

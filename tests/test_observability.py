@@ -348,13 +348,6 @@ class TestTop:
 # report module consolidation (satellite: analysis -> telemetry)
 # ----------------------------------------------------------------------
 class TestReportConsolidation:
-    def test_analysis_reexports_are_the_same_objects(self):
-        from repro.analysis import report as old
-        from repro.telemetry import report as new
-
-        assert old.format_table is new.format_table
-        assert old.ascii_series is new.ascii_series
-
     def test_telemetry_package_exports(self):
         import repro.telemetry as t
 

@@ -26,6 +26,7 @@ from repro.parallel_exec import (
 )
 from repro.pic import Simulation, SimulationConfig
 from repro.pic.checkpoint import load_checkpoint
+from tests.looped_reference import looped_engine
 
 _MULTICORE_OK = (
     "fork" in multiprocessing.get_all_start_methods() and shared_memory_available()
@@ -92,7 +93,7 @@ class TestGracefulFallback:
 
     def test_workers_ignored_off_flat_era(self):
         cfg = SimulationConfig(
-            nx=16, ny=8, nparticles=256, p=2, seed=1, engine="looped"
+            nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern"
         )
         with pytest.warns(RuntimeWarning, match="ignored"):
             sim = Simulation(cfg, workers=2)
@@ -122,13 +123,13 @@ class TestDegradedObservability:
 
     def test_engine_mismatch_sets_degraded_marker(self):
         cfg = SimulationConfig(
-            nx=16, ny=8, nparticles=256, p=2, seed=1, engine="looped"
+            nx=16, ny=8, nparticles=256, p=2, seed=1, kernel="modern"
         )
         with pytest.warns(RuntimeWarning, match="ignored"):
             sim = Simulation(cfg, workers=2)
         assert sim.degraded is not None
         assert sim.degraded["requested_workers"] == 2
-        assert "engine" in sim.degraded["reason"]
+        assert "kernel='modern'" in sim.degraded["reason"]
         sim.close()
 
     def test_true_runs_carry_no_marker(self):
@@ -338,7 +339,6 @@ def _cfg(**kwargs) -> SimulationConfig:
         distribution="irregular",
         policy="dynamic",
         seed=3,
-        engine="flat",
     )
     base.update(kwargs)
     return SimulationConfig(**base)
@@ -371,9 +371,8 @@ class TestSimulationInvariance:
 
     def test_three_way_with_looped(self):
         flat = _strip_wall(_result_dict(_cfg(), 2))
-        looped = _strip_wall(_result_dict(_cfg(engine="looped"), 0))
-        flat.pop("config")
-        looped.pop("config")  # engines differ only in the config label
+        with looped_engine():
+            looped = _strip_wall(_result_dict(_cfg(), 0))
         assert json.dumps(flat, sort_keys=True, default=str) == json.dumps(
             looped, sort_keys=True, default=str
         )

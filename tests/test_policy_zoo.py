@@ -426,13 +426,13 @@ class TestPolicyMatrix:
         doc = run_policy_matrix(
             ("static", "dynamic", "sar-ewma"),
             ("clustered",),
-            ("flat", "looped"),
             smoke=True,
             p=4,
         )
         assert doc["schema"] == POLICY_SCHEMA
-        assert len(doc["cells"]) == 6
-        assert doc["engine_parity"], doc["parity_failures"]
+        assert len(doc["cells"]) == 3
+        assert not any("engine" in key for cell in doc["cells"] for key in cell)
+        assert "engine_parity" not in doc and "parity_failures" not in doc
         assert doc["winners"]["clustered"]["policy"] in ("static", "dynamic", "sar-ewma")
         text = render_matrix(doc)
         assert "winner[clustered]" in text
@@ -441,7 +441,7 @@ class TestPolicyMatrix:
         from repro.bench.policy_suite import run_policy_matrix
 
         with pytest.raises(ValueError, match="unknown workload"):
-            run_policy_matrix(("static",), ("galactic",), ("flat",), smoke=True, p=2)
+            run_policy_matrix(("static",), ("galactic",), smoke=True, p=2)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.pic import Simulation, SimulationConfig
+from tests.looped_reference import use_engine
 
 TOTAL = 8
 SPLIT = 4
@@ -80,8 +81,9 @@ def _run_split(config) -> tuple:
 @pytest.mark.parametrize("engine", ["flat", "looped"])
 @pytest.mark.parametrize("movement", ["lagrangian", "eulerian"])
 @pytest.mark.parametrize("policy", ["static", "periodic:3", "dynamic"])
-def test_era_kernel_matrix(engine, movement, policy):
-    config = _config(engine=engine, movement=movement, policy=policy)
+def test_era_kernel_matrix(engine, movement, policy, monkeypatch):
+    use_engine(monkeypatch, engine)  # "looped" runs the per-rank test oracle
+    config = _config(movement=movement, policy=policy)
     full_sim, full, resumed_sim, resumed = _run_split(config)
     _assert_results_identical(full, resumed)
     _assert_state_identical(full_sim, resumed_sim)
