@@ -1,17 +1,17 @@
 #!/usr/bin/env python
 """Profile where the virtual time goes, phase by phase.
 
-Attaches a :class:`repro.machine.PhaseTrace` to a run with periodic
-redistribution and renders an ASCII stacked-share profile: scatter and
-gather shares grow as the particle subdomains drift, and redistribution
-spikes (R) appear at every firing.
+Runs with periodic redistribution and renders the result's
+:class:`repro.machine.PhaseTrace` (one row per iteration record) as an
+ASCII stacked-share profile: scatter and gather shares grow as the
+particle subdomains drift, and redistribution spikes (R) appear at every
+firing.
 
 Run:  python examples/phase_profile.py
 """
 
 from repro import Simulation, SimulationConfig
 from repro.telemetry import format_table
-from repro.machine import PhaseTrace
 
 
 def main() -> None:
@@ -25,16 +25,8 @@ def main() -> None:
         seed=3,
         vth=0.08,
     )
-    sim = Simulation(config)
-    trace = PhaseTrace(sim.vm)
-
     iterations = 100
-    for it in range(iterations):
-        sim.pic.step()
-        if sim.policy.should_redistribute(it):
-            result = sim.redistributor.redistribute(sim.vm, sim.pic.particles)
-            sim.pic.particles = result.particles
-        trace.snapshot()
+    trace = Simulation(config).run(iterations).trace
 
     print(trace.render(width=60))
     print()

@@ -1,76 +1,36 @@
-"""Execution tracing: per-phase, per-iteration timeline of a run.
+"""Per-iteration phase profile of a run.
 
-:class:`PhaseTrace` snapshots the virtual machine's phase clocks after
-every iteration, producing the data for an execution-profile view: how
-the time of each phase (scatter / field / gather / push /
-redistribution) evolves over the run, and an ASCII "stacked bar"
-rendering for terminals.
+:class:`PhaseTrace` is a view over per-iteration rows of per-phase
+virtual-time increments — ``IterationRecord.phase_time``, or the
+``phase_time`` field of a metrics stream's iteration records.  It gives
+each phase's (scatter / field / gather / push / redistribution) series
+over the run, its totals, and an ASCII "stacked bar" rendering for
+terminals.  ``SimulationResult.trace`` builds one from the run's records.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from repro.machine.virtual import VirtualMachine
 from repro.util import require
 
 __all__ = ["PhaseTrace"]
 
 
 class PhaseTrace:
-    """Record per-iteration phase times from a virtual machine.
+    """Per-phase time series over rows of ``{phase: seconds}`` increments.
 
-    Call :meth:`snapshot` once per iteration; each snapshot stores the
-    *increment* of every phase's max-over-ranks time since the previous
-    snapshot.
-
-    The machine binding is rebindable: rank-failure recovery replaces
-    the simulation's :class:`VirtualMachine` with a shrunk one whose
-    phase tables carry the accumulated maxima forward, so
-    :meth:`rebind` keeps the increment stream continuous across the
-    swap (no stale-machine reads, no double-counted time).  A trace can
-    also be built without any machine (``vm=None`` /
-    :meth:`from_rows`) to re-render rows recovered from a metrics file
-    or a checkpoint.
+    Row ``i`` is iteration ``i``'s increment of every phase's
+    max-over-ranks time; a phase missing from a row contributed nothing
+    to that iteration.
     """
 
-    def __init__(self, vm: VirtualMachine | None = None) -> None:
-        self.vm = vm
-        # Baseline at the machine's current breakdown: time charged
-        # before the trace existed (setup, restored checkpoints) belongs
-        # to no iteration row.
-        self._last: dict[str, float] = vm.phase_breakdown() if vm is not None else {}
-        self.rows: list[dict[str, float]] = []
-
-    @classmethod
-    def from_rows(cls, rows: list[dict]) -> "PhaseTrace":
-        """Rebuild a trace from previously recorded increment rows."""
-        trace = cls(None)
-        trace.rows = [{str(k): float(v) for k, v in row.items()} for row in rows]
-        return trace
-
-    def rebind(self, vm: VirtualMachine) -> None:
-        """Continue the trace on ``vm`` (e.g. after a recovery shrink).
-
-        The shrunk machine's phase tables are seeded with the failed
-        machine's maxima, so the running-increment baseline stays valid:
-        the next :meth:`snapshot` row picks up exactly the detection,
-        recovery, and replay time charged since the last snapshot —
-        nothing lost to the swap, nothing double-counted.
-        """
-        self.vm = vm
-
-    def snapshot(self) -> dict[str, float]:
-        """Record and return this iteration's per-phase time increments."""
-        require(self.vm is not None, "trace has no machine bound (vm=None)")
-        current = self.vm.phase_breakdown()
-        increment = {
-            phase: current.get(phase, 0.0) - self._last.get(phase, 0.0)
-            for phase in set(current) | set(self._last)
-        }
-        self._last = current
-        self.rows.append(increment)
-        return increment
+    def __init__(self, rows: Iterable[dict[str, float]] = ()) -> None:
+        self.rows: list[dict[str, float]] = [
+            {str(k): float(v) for k, v in row.items()} for row in rows
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -92,7 +52,7 @@ class PhaseTrace:
     def render(self, *, width: int = 60) -> str:
         """ASCII profile: one stacked bar of phase shares per trace row
         group (rows are bucketed to at most ``width`` columns)."""
-        require(bool(self.rows), "no snapshots recorded")
+        require(bool(self.rows), "no rows recorded")
         phases = self.phases
         glyphs = "SFGPRMX"  # scatter field gather push redistribution migration other
         glyph_of = {}

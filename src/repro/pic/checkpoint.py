@@ -14,10 +14,13 @@ A **v2 checkpoint** round-trips the *full* run state of a
   internals (:class:`~repro.core.policies.DynamicSARPolicy` window and
   ``T_redistribution``), the decomposition's curve bounds (which adaptive
   rebalancing moves at runtime), the redistributor's build-time sort keys
-  (which the incremental sort classifies against), the per-iteration
-  record history, and the :class:`~repro.machine.trace.PhaseTrace` rows
-  (so a resumed run's telemetry / ``repro report`` covers the full
-  history, not just the post-resume tail).
+  (which the incremental sort classifies against), and the per-iteration
+  record history.  Each record carries its per-phase ``phase_time`` row,
+  so a resumed run's ``SimulationResult.trace`` covers the full history,
+  not just the post-resume tail.  Checkpoints written before records
+  carried that row keep the rows in a parallel ``trace_rows`` list, which
+  still loads: its rows are attached to the records when the two lists
+  have the same length.
 
 The exact-resume contract (pinned by ``tests/test_resume_equivalence.py``
 and DESIGN.md §5.2): a run checkpointed at iteration ``k`` via

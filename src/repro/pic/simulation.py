@@ -198,6 +198,36 @@ class IterationRecord:
     scatter_max_msgs: int  #: max messages sent/recv by any rank in scatter
     redistributed: bool  #: whether a redistribution followed this iteration
     redistribution_cost: float  #: virtual seconds of that redistribution
+    #: per-phase max-over-ranks virtual-time increment of this iteration
+    #: (redistribution, recovery and replay included), sorted by phase,
+    #: zero increments dropped; empty on records restored from a
+    #: checkpoint that did not carry them
+    phase_time: dict[str, float] = field(default_factory=dict)
+
+
+def _phase_delta(now: dict[str, float], base: dict[str, float]) -> dict[str, float]:
+    """Per-phase increment ``now - base``, sorted by phase, zeros dropped."""
+    return {
+        phase: delta
+        for phase in sorted(now.keys() | base.keys())
+        if (delta := now.get(phase, 0.0) - base.get(phase, 0.0)) != 0.0
+    }
+
+
+def _records_from_state(rs: dict) -> list[IterationRecord]:
+    """The record history of a checkpoint's run state.
+
+    Checkpoints written before records carried their ``phase_time`` kept
+    the phase rows in a parallel ``trace_rows`` list; its rows are
+    attached when it lines up with the records one to one, otherwise the
+    records keep an empty ``phase_time``.
+    """
+    records = [IterationRecord(**r) for r in rs["records"]]
+    rows = rs.get("trace_rows")
+    if rows is not None and len(rows) == len(records):
+        for record, row in zip(records, rows):
+            record.phase_time = _phase_delta(row, {})
+    return records
 
 
 @dataclass
@@ -214,7 +244,6 @@ class SimulationResult:
     n_recoveries: int = 0  #: rank failures recovered from
     recovery_time: float = 0.0  #: virtual seconds spent detecting + recovering
     final_state: dict | None = None  #: physics summary (Simulation.final_state_summary)
-    trace: PhaseTrace | None = None  #: per-iteration phase profile (always recorded)
     telemetry: dict | None = None  #: final metric aggregates (None = telemetry off)
     degraded: dict | None = None  #: multicore-fallback marker (None = no fallback)
     correlation: dict | None = None  #: batch identity stamp (None = standalone run)
@@ -238,6 +267,11 @@ class SimulationResult:
     def scatter_max_msgs(self) -> np.ndarray:
         """Per-iteration scatter max-messages series (paper Fig 19)."""
         return np.array([r.scatter_max_msgs for r in self.records], dtype=np.int64)
+
+    @property
+    def trace(self) -> PhaseTrace:
+        """Per-iteration phase profile: one row per record's ``phase_time``."""
+        return PhaseTrace(r.phase_time for r in self.records)
 
     # ------------------------------------------------------------------
     # export
@@ -370,59 +404,12 @@ class Simulation:
                 warnings.warn(
                     f"workers={workers!r} ignored: {reason}", RuntimeWarning, stacklevel=2
                 )
-        self.redistributor: Redistributor | None = None
-        self.rebalancer = None
-        if config.partitioning == "adaptive":
-            from repro.core.adaptive import AdaptiveMeshRebalancer
-
-            self.rebalancer = AdaptiveMeshRebalancer(self.grid, config.scheme)
         self.policy = make_policy(config.policy)
         self.policy.bind(self.vm)
-        if config.movement == "lagrangian":
-            self.redistributor = Redistributor(
-                self.partitioner,
-                nbuckets=config.nbuckets,
-                classifier=self.backend.classify if self.backend is not None else None,
-            )
-            # Measure the setup distribution on the machine to seed the
-            # dynamic policy's T_redistribution, then reset the clock so
-            # run time starts at the first iteration (as in the paper).
-            result = self.redistributor.initialize(self.vm, local)
-            local = result.particles
-            self._setup_cost = result.cost
-            if hasattr(self.policy, "record_redistribution"):
-                self.policy.record_redistribution(-1, result.cost)
-            self.vm.clocks[:] = 0.0
-            self.vm.compute_time[:] = 0.0
-            self.vm.comm_time[:] = 0.0
-            self.vm.phase_time.clear()
-            self.vm.stats.reset()
-            self.vm.ops.reset()
-        else:
-            self._setup_cost = 0.0
-        if config.kernel == "modern":
-            from repro.pic.parallel_yee import ParallelYeePIC
-
-            self.pic = ParallelYeePIC(
-                self.vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=config.dt,
-                ghost_table=config.ghost_table,
-            )
-        else:
-            self.pic = ParallelPIC(
-                self.vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=config.dt,
-                ghost_table=config.ghost_table,
-                movement=config.movement,
-                field_solver=config.field_solver,
-                backend=self.backend,
-            )
+        self._setup_cost = self._build_stepper(self.vm, local, fresh=True)
+        if self.redistributor is not None and hasattr(self.policy, "record_redistribution"):
+            # the setup distribution seeds the dynamic policy's T_redistribution
+            self.policy.record_redistribution(-1, self._setup_cost)
         #: invariant guard (None when ``config.guards == "off"``: the hot
         #: paths then carry only dormant ``is None`` branches)
         self.guard: InvariantGuard | None = None
@@ -435,9 +422,10 @@ class Simulation:
         self.n_recoveries = 0
         self.recovery_time = 0.0
         self._last_checkpoint: Path | None = None
-        #: per-iteration phase profile, snapshotted by :meth:`run` after
-        #: every iteration and exposed on :class:`SimulationResult`
-        self.trace = PhaseTrace(self.vm)
+        #: phase breakdown at the end of the last recorded iteration: each
+        #: record's ``phase_time`` is the increment past it (time charged
+        #: before the first iteration belongs to no record)
+        self._phase_base = self.vm.phase_breakdown()
         #: telemetry bundle (None until :meth:`enable_telemetry`); when
         #: off, every hot-path hook is a dormant ``is None`` branch
         self.telemetry = None
@@ -611,6 +599,60 @@ class Simulation:
             ]
         return self.partitioner.initial_partition(self.initial_particles, cfg.p)
 
+    def _build_stepper(
+        self, vm: VirtualMachine, local: list[ParticleArray], *, fresh: bool
+    ) -> float:
+        """Build the rebalancer, redistributor, and PIC stepper on ``vm``.
+
+        Lagrangian runs first distribute ``local`` with the
+        redistributor's build, charged to ``vm``; the cost is returned
+        (0.0 otherwise).  On a ``fresh`` machine the clocks are then
+        reset, so run time starts at the first iteration (as in the
+        paper); a recovery keeps the charge on the shrunk machine.
+        """
+        cfg = self.config
+        self.rebalancer = None
+        if cfg.partitioning == "adaptive":
+            from repro.core.adaptive import AdaptiveMeshRebalancer
+
+            self.rebalancer = AdaptiveMeshRebalancer(self.grid, cfg.scheme)
+        self.redistributor: Redistributor | None = None
+        cost = 0.0
+        if cfg.movement == "lagrangian":
+            self.redistributor = Redistributor(
+                self.partitioner,
+                nbuckets=cfg.nbuckets,
+                classifier=self.backend.classify if self.backend is not None else None,
+            )
+            result = self.redistributor.initialize(vm, local)
+            local, cost = result.particles, result.cost
+            if fresh:
+                vm.clocks[:] = 0.0
+                vm.compute_time[:] = 0.0
+                vm.comm_time[:] = 0.0
+                vm.phase_time.clear()
+                vm.stats.reset()
+                vm.ops.reset()
+        if cfg.kernel == "modern":
+            from repro.pic.parallel_yee import ParallelYeePIC
+
+            self.pic = ParallelYeePIC(
+                vm, self.grid, self.decomp, local, dt=cfg.dt, ghost_table=cfg.ghost_table
+            )
+        else:
+            self.pic = ParallelPIC(
+                vm,
+                self.grid,
+                self.decomp,
+                local,
+                dt=cfg.dt,
+                ghost_table=cfg.ghost_table,
+                movement=cfg.movement,
+                field_solver=cfg.field_solver,
+                backend=self.backend,
+            )
+        return cost
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -713,19 +755,24 @@ class Simulation:
                     redistributed = True
                     self.policy.record_redistribution(it, cost)
                     redis_epoch = vm.stats.snapshot_epoch()
-                self.records.append(
-                    IterationRecord(it, t_iter, max_bytes, max_msgs, redistributed, cost)
+                phases = vm.phase_breakdown()
+                record = IterationRecord(
+                    it,
+                    t_iter,
+                    max_bytes,
+                    max_msgs,
+                    redistributed,
+                    cost,
+                    _phase_delta(phases, self._phase_base),
                 )
-                phase_row = self.trace.snapshot()
+                self._phase_base = phases
+                self.records.append(record)
                 if tel is not None:
                     tel.end_iteration(
                         vm,
                         self.pic,
-                        iteration=it,
-                        phase_time=phase_row,
+                        record,
                         comm_epochs=[epoch] + ([redis_epoch] if redis_epoch else []),
-                        redistributed=redistributed,
-                        redistribution_cost=cost,
                     )
                 self.iteration = it + 1
                 if checkpoint_every is not None and self.iteration % checkpoint_every == 0:
@@ -856,10 +903,9 @@ class Simulation:
         self.config = cfg
         self.vm = vm
         self.fault_plan = survivor_plan
-        # the shrunk machine carries the old phase maxima forward, so the
-        # phase trace stays continuous across the swap (no stale machine,
-        # no double counting)
-        self.trace.rebind(vm)
+        # self._phase_base stays: the shrunk machine carries the old phase
+        # maxima forward, so the next record's phase_time picks up exactly
+        # the detection, recovery, and replay time charged since the last
         self.decomp = self._build_decomposition()
 
         # -- recover the physical + control state --------------------------
@@ -876,7 +922,7 @@ class Simulation:
             fields = data.fields
             restart_iteration = data.iteration
             self.policy = policy_from_state(rs["policy"])
-            self.records = [IterationRecord(**r) for r in rs["records"]]
+            self.records = _records_from_state(rs)
             self.n_redistributions = int(rs["n_redistributions"])
             self.redistribution_time = float(rs["redistribution_time"])
             self._setup_cost = float(rs["setup_cost"])
@@ -910,44 +956,9 @@ class Simulation:
             local = [
                 all_parts.take(np.arange(splits[r], splits[r + 1])) for r in range(p_new)
             ]
-        self.rebalancer = None
-        if cfg.partitioning == "adaptive":
-            from repro.core.adaptive import AdaptiveMeshRebalancer
 
-            self.rebalancer = AdaptiveMeshRebalancer(self.grid, cfg.scheme)
-        self.redistributor = None
-        if cfg.movement == "lagrangian":
-            self.redistributor = Redistributor(
-                self.partitioner,
-                nbuckets=cfg.nbuckets,
-                classifier=self.backend.classify if self.backend is not None else None,
-            )
-            local = self.redistributor.initialize(vm, local).particles
-
-        # -- rebuild the stepper on the shrunk machine ----------------------
-        if cfg.kernel == "modern":
-            from repro.pic.parallel_yee import ParallelYeePIC
-
-            self.pic = ParallelYeePIC(
-                vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=cfg.dt,
-                ghost_table=cfg.ghost_table,
-            )
-        else:
-            self.pic = ParallelPIC(
-                vm,
-                self.grid,
-                self.decomp,
-                local,
-                dt=cfg.dt,
-                ghost_table=cfg.ghost_table,
-                movement=cfg.movement,
-                field_solver=cfg.field_solver,
-                backend=self.backend,
-            )
+        # -- rebuild the redistributor and stepper on the shrunk machine ----
+        self._build_stepper(vm, local, fresh=False)
         self.pic.fields = fields
         self.pic.iteration = restart_iteration
         self.iteration = restart_iteration
@@ -995,7 +1006,6 @@ class Simulation:
             n_recoveries=self.n_recoveries,
             recovery_time=self.recovery_time,
             final_state=self.final_state_summary(),
-            trace=self.trace,
             telemetry=self.telemetry.aggregates() if self.telemetry is not None else None,
             degraded=self.degraded,
             correlation=self.correlation,
@@ -1041,7 +1051,8 @@ class Simulation:
         the virtual machine (clocks, compute/comm splits, per-phase times
         and comm stats, op counters), the policy internals, the current
         decomposition bounds, the redistributor's build-time sort keys,
-        and the per-iteration record history.  The write is atomic (temp
+        and the per-iteration record history (each record carrying its
+        phase-time row).  The write is atomic (temp
         file + ``os.replace``): a crash mid-write never leaves a file
         :func:`~repro.pic.checkpoint.load_checkpoint` accepts.  A state
         holding a NaN or Inf is refused with
@@ -1062,9 +1073,6 @@ class Simulation:
             # the *live* decomposition: adaptive rebalancing swaps it at
             # runtime (pic.decomp), which Simulation.decomp tracks
             "decomp_bounds": self.pic.decomp.curve_bounds.tolist(),
-            # per-iteration phase-profile rows: telemetry survives resume
-            # (a resumed run's PhaseTrace covers the full history)
-            "trace_rows": self.trace.rows,
         }
         if self.correlation is not None:
             # batch identity rides along (optional key: standalone
@@ -1159,13 +1167,9 @@ class Simulation:
         self.pic.fields = data.fields
         self.pic.iteration = data.iteration
         self.vm.load_state(rs["vm"])
-        # Rebuild the phase trace on the restored machine: the fresh
-        # baseline is the restored breakdown (pre-checkpoint time belongs
-        # to the rows we restore, not to the next snapshot), and the
-        # restored rows make a resumed run's trace cover the full history.
-        # Checkpoints written before telemetry carry no rows.
-        self.trace = PhaseTrace(self.vm)
-        self.trace.rows = [dict(row) for row in rs.get("trace_rows", [])]
+        # pre-checkpoint time belongs to the restored records, not to the
+        # next iteration's phase_time
+        self._phase_base = self.vm.phase_breakdown()
         self.policy = policy_from_state(rs["policy"])
         self.policy.bind(self.vm)
         if self.redistributor is not None:
@@ -1177,7 +1181,7 @@ class Simulation:
             self.redistributor.restore_keys(data.sort_keys, self.pic.particles)
         self._setup_cost = float(rs["setup_cost"])
         self.iteration = data.iteration
-        self.records = [IterationRecord(**r) for r in rs["records"]]
+        self.records = _records_from_state(rs)
         self.n_redistributions = int(rs["n_redistributions"])
         self.redistribution_time = float(rs["redistribution_time"])
         # keys absent from checkpoints written before fault tolerance

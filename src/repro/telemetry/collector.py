@@ -131,24 +131,16 @@ class RunTelemetry:
         ops = float(sum(t.stats.ops for t in tables))
         return entries, ops
 
-    def end_iteration(
-        self,
-        vm,
-        pic,
-        *,
-        iteration: int,
-        phase_time: dict[str, float],
-        comm_epochs: list[dict],
-        redistributed: bool,
-        redistribution_cost: float,
-    ) -> dict:
+    def end_iteration(self, vm, pic, record, *, comm_epochs: list[dict]) -> dict:
         """Assemble, store, and return this iteration's metrics record.
 
-        ``phase_time`` is the iteration's per-phase time increment (a
-        :class:`~repro.machine.trace.PhaseTrace` snapshot row);
-        ``comm_epochs`` are the :meth:`CommStats.snapshot_epoch` dicts
-        popped during the iteration (step traffic plus, separately, any
-        redistribution traffic).
+        ``record`` is the driver's
+        :class:`~repro.pic.simulation.IterationRecord`, the source of the
+        iteration number, its ``phase_time`` increment, and the
+        redistribution outcome; ``comm_epochs`` are the
+        :meth:`CommStats.snapshot_epoch` dicts popped during the
+        iteration (step traffic plus, separately, any redistribution
+        traffic).
         """
         t_end = vm.elapsed()
         t_start = self._iter_t0 if self._iter_t0 is not None else t_end
@@ -160,21 +152,21 @@ class RunTelemetry:
             for k, v in ops_now.items()
             if v - self._iter_ops.get(k, 0.0) > 0.0
         }
-        record = {
+        entry = {
             "type": "iteration",
-            "iteration": int(iteration),
+            "iteration": int(record.iteration),
             "p": vm.p,
             "t_start": t_start,
             "t_end": t_end,
             "t_iter": t_end - t_start,
-            "phase_time": {k: v for k, v in sorted(phase_time.items()) if v != 0.0},
+            "phase_time": dict(record.phase_time),
             "particles_per_rank": counts,
             "imbalance": imbalance,
             "comm": _comm_dict(comm_epochs),
             "ops": ops_delta,
             "sar_decisions": self._pending_sar,
-            "redistributed": bool(redistributed),
-            "redistribution_cost": float(redistribution_cost),
+            "redistributed": bool(record.redistributed),
+            "redistribution_cost": float(record.redistribution_cost),
         }
         ghost_now = self._ghost_totals(pic)
         if ghost_now is not None:
@@ -183,7 +175,7 @@ class RunTelemetry:
             unique = float(
                 sum(t.stats.unique_nodes for t in getattr(pic, "ghost_tables", []))
             )
-            record["ghost"] = {
+            entry["ghost"] = {
                 "entries": entries,
                 "unique_nodes": unique,
                 "table_ops": ghost_now[1] - g0[1],
@@ -191,22 +183,22 @@ class RunTelemetry:
             }
             self.registry.counter("ghost.entries").inc(max(entries, 0.0))
         self._pending_sar = []
-        self.records.append(record)
+        self.records.append(entry)
         self.enabled_iterations += 1
 
         # -- registry aggregates ----------------------------------------
         reg = self.registry
         reg.counter("iterations").inc()
-        reg.histogram("iteration.time").observe(record["t_iter"])
+        reg.histogram("iteration.time").observe(entry["t_iter"])
         reg.histogram("load.imbalance").observe(imbalance)
         reg.gauge("load.imbalance.last").set(imbalance)
         reg.gauge("ranks.live").set(vm.p)
-        for phase, tallies in record["comm"].items():
+        for phase, tallies in entry["comm"].items():
             reg.counter(f"comm.{phase}.msgs").inc(tallies["msgs"])
             reg.counter(f"comm.{phase}.bytes").inc(tallies["bytes"])
-        if redistributed:
+        if record.redistributed:
             reg.counter("redistribution.count").inc()
-            reg.histogram("redistribution.cost").observe(redistribution_cost)
+            reg.histogram("redistribution.cost").observe(record.redistribution_cost)
 
         # -- counter tracks on the trace timeline -------------------------
         self.tracer.record_counters(
@@ -215,7 +207,7 @@ class RunTelemetry:
         self.tracer.record_counters(
             "particles", t_end, {"max_per_rank": max(counts, default=0)}
         )
-        return record
+        return entry
 
     # ------------------------------------------------------------------
     # decision + event feeds

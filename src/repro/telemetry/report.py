@@ -246,7 +246,7 @@ def render_report(
     rows = [rec["phase_time"] for rec in metrics.iterations]
     if any(rows):
         out.append("")
-        out.append(PhaseTrace.from_rows(rows).render())
+        out.append(PhaseTrace(rows).render())
         out.append("phase totals:")
         for phase, seconds in sorted(
             t["phase_totals"].items(), key=lambda kv: -kv[1]

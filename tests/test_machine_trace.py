@@ -1,4 +1,4 @@
-"""Tests for the phase-trace profiler."""
+"""Tests for the phase-trace view over per-iteration phase rows."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,23 @@ from repro.machine import MachineModel, VirtualMachine
 from repro.machine.trace import PhaseTrace
 
 
+def _charge(vm, phases, rows):
+    """Charge one iteration of ``phases`` on ``vm``; append its increment row."""
+    before = vm.phase_breakdown()
+    for phase, category, ops in phases:
+        with vm.phase(phase):
+            vm.charge_ops(category, ops)
+    after = vm.phase_breakdown()
+    rows.append({k: v - before.get(k, 0.0) for k, v in after.items()})
+
+
 @pytest.fixture
 def traced_vm():
     vm = VirtualMachine(2, MachineModel.cm5())
-    trace = PhaseTrace(vm)
+    rows: list[dict] = []
     for _ in range(5):
-        with vm.phase("scatter"):
-            vm.charge_ops("scatter", 100)
-        with vm.phase("push"):
-            vm.charge_ops("push", 50)
-        trace.snapshot()
-    return vm, trace
+        _charge(vm, [("scatter", "scatter", 100), ("push", "push", 50)], rows)
+    return vm, PhaseTrace(rows)
 
 
 class TestSnapshots:
@@ -55,40 +61,32 @@ class TestRender:
         assert "S" in out.splitlines()[-2] or "P" in out.splitlines()[-2]
 
     def test_render_empty_raises(self):
-        vm = VirtualMachine(2)
         with pytest.raises(ValueError):
-            PhaseTrace(vm).render()
+            PhaseTrace([]).render()
 
     def test_unknown_phase_gets_x_glyph(self):
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
-        with vm.phase("mystery"):
-            vm.charge_ops("push", 10)
-        trace.snapshot()
-        out = trace.render()
+        rows: list[dict] = []
+        _charge(vm, [("mystery", "push", 10)], rows)
+        out = PhaseTrace(rows).render()
         assert "X=mystery" in out
 
     def test_migration_glyph(self):
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
-        with vm.phase("migration"):
-            vm.charge_ops("index", 10)
-        trace.snapshot()
-        assert "M=migration" in trace.render()
+        rows: list[dict] = []
+        _charge(vm, [("migration", "index", 10)], rows)
+        assert "M=migration" in PhaseTrace(rows).render()
 
     def test_columns_sum_to_bar_height(self):
         """Largest-remainder apportionment: every non-empty column stacks
         exactly bar_height glyphs — no blank rows from rounding loss."""
         vm = VirtualMachine(2)
-        trace = PhaseTrace(vm)
+        rows: list[dict] = []
         # Three phases with shares 1/3 each: naive per-phase rounding gives
         # 3+3+3 = 9 of 10 glyphs, leaving a hole at the top of the bar.
         for _ in range(4):
-            for phase in ("scatter", "push", "gather"):
-                with vm.phase(phase):
-                    vm.charge_ops("push", 10)
-            trace.snapshot()
-        out = trace.render(width=4)
+            _charge(vm, [(phase, "push", 10) for phase in ("scatter", "push", "gather")], rows)
+        out = PhaseTrace(rows).render(width=4)
         bar_lines = [line[1:] for line in out.splitlines()[2:-1]]  # strip axis
         assert len(bar_lines) == 10
         for col in range(len(bar_lines[0])):
@@ -96,14 +94,13 @@ class TestRender:
             assert " " not in glyphs, f"column {col} lost glyphs to rounding"
 
     def test_render_with_simulation(self):
-        """Trace a real mini-run end to end."""
+        """Render a real mini-run's trace end to end."""
         from repro.pic import Simulation, SimulationConfig
 
         sim = Simulation(SimulationConfig(nx=16, ny=16, nparticles=512, p=4, seed=0))
-        trace = PhaseTrace(sim.vm)
-        for _ in range(5):
-            sim.pic.step()
-            trace.snapshot()
+        result = sim.run(5)
+        trace = result.trace
+        assert trace.rows == [r.phase_time for r in result.records]
         out = trace.render()
         for phase in ("scatter", "field", "gather", "push"):
             assert phase in out

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.machine import FaultEvent, FaultPlan
 from repro.pic import Simulation, SimulationConfig
+from repro.pic.checkpoint import load_checkpoint, save_checkpoint
 from tests.looped_reference import use_engine
 from repro.telemetry import (
     Counter,
@@ -291,6 +292,19 @@ class TestSARDecisionLog:
 # ----------------------------------------------------------------------
 # satellite 2: consistency across rank-failure shrink
 # ----------------------------------------------------------------------
+def _assert_stream_sums_to_breakdown(metrics, vm):
+    """The summed ``phase_time`` of the iteration lines is the machine's
+    cumulative phase breakdown."""
+    summed: dict[str, float] = {}
+    for rec in metrics.iterations:
+        for phase, seconds in rec["phase_time"].items():
+            summed[phase] = summed.get(phase, 0.0) + seconds
+    breakdown = vm.phase_breakdown()
+    assert set(summed) == {k for k, v in breakdown.items() if v != 0.0}
+    for phase, seconds in breakdown.items():
+        assert summed.get(phase, 0.0) == pytest.approx(seconds, abs=1e-12)
+
+
 class TestTelemetryAcrossRecovery:
     @pytest.mark.parametrize("engine", ["flat", "looped"])
     def test_rank_kill_keeps_streams_consistent(self, engine, tmp_path, monkeypatch):
@@ -318,12 +332,30 @@ class TestTelemetryAcrossRecovery:
         assert max(ev["tid"] for ev in spans) <= 5
         assert trace["otherData"]["rank_history"][-1][1] == 5
 
-        # PhaseTrace survived the machine swap: its totals reassemble the
-        # shrunk machine's cumulative phase breakdown exactly
-        for phase, seconds in sim.vm.phase_breakdown().items():
-            assert sim.trace.totals().get(phase, 0.0) == pytest.approx(
-                seconds, abs=1e-12
-            )
+        # the metrics stream logs every executed iteration, replays
+        # included: its phase rows reassemble the shrunk machine's
+        # cumulative phase breakdown exactly
+        _assert_stream_sums_to_breakdown(metrics, sim.vm)
+
+    def test_trace_rows_follow_records_after_checkpoint_recovery(self, tmp_path):
+        """The recovery rolls the records back to the checkpoint; the
+        result's trace rows roll back with them, so row ``i`` still
+        belongs to iteration ``i``."""
+        sim = Simulation(_config(p=6, seed=2))
+        sim.install_faults(
+            FaultPlan(events=(FaultEvent(kind="kill", rank=3, iteration=4),))
+        )
+        sim.enable_telemetry()
+        result = sim.run(10, checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
+        assert result.n_recoveries == 1
+
+        trace = result.trace
+        assert len(trace.rows) == len(result.records) == 10
+        for i, record in enumerate(result.records):
+            assert record.iteration == i
+            assert trace.rows[i] == record.phase_time
+        metrics = validate_metrics(sim.telemetry.metrics_lines())
+        _assert_stream_sums_to_breakdown(metrics, sim.vm)
 
     def test_comm_stats_continuous_after_shrink(self, tmp_path):
         sim = Simulation(_config(p=6, seed=2))
@@ -345,21 +377,62 @@ class TestTelemetryAcrossRecovery:
 class TestTelemetryAcrossResume:
     def test_trace_rows_survive_resume(self, tmp_path):
         cfg = _config(seed=5)
-        full = Simulation(cfg)
-        full.run(12)
+        full = Simulation(cfg).run(12)
 
         part = Simulation(cfg)
         part.run(6)
         ck = part.checkpoint(tmp_path / "ck.npz")
         resumed = Simulation.from_checkpoint(ck)
         resumed.enable_telemetry()
-        resumed.run(6)
+        result = resumed.run(6)
 
-        assert len(resumed.trace.rows) == len(full.trace.rows) == 12
+        assert len(result.trace.rows) == len(full.trace.rows) == 12
         for phase, seconds in full.trace.totals().items():
-            assert resumed.trace.totals()[phase] == pytest.approx(seconds, abs=1e-12)
+            assert result.trace.totals()[phase] == pytest.approx(seconds, abs=1e-12)
         # telemetry itself only covers the resumed tail
         assert resumed.telemetry.enabled_iterations == 6
+
+    def test_legacy_trace_rows_checkpoint_resumes(self, tmp_path):
+        """A checkpoint in the older layout (phase rows in a parallel
+        ``trace_rows`` list, records without ``phase_time``) resumes to
+        the uninterrupted run's state and phase totals."""
+        cfg = _config(seed=5)
+        full_sim = Simulation(cfg)
+        full = full_sim.run(12)
+
+        part = Simulation(cfg)
+        part.run(6)
+        data = load_checkpoint(part.checkpoint(tmp_path / "ck.npz"))
+        rs = data.run_state
+        # legacy rows kept zero increments, keyed in no particular order
+        rs["trace_rows"] = [
+            {"redistribution": 0.0, **dict(reversed(rec.pop("phase_time").items()))}
+            for rec in rs["records"]
+        ]
+
+        def resave(name):
+            return save_checkpoint(
+                tmp_path / name,
+                data.grid,
+                data.fields,
+                data.particles,
+                data.iteration,
+                run_state=rs,
+                sort_keys=data.sort_keys,
+            )
+
+        resumed = Simulation.from_checkpoint(resave("legacy.npz"))
+        result = resumed.run(6)
+        assert resumed.final_state_summary() == full_sim.final_state_summary()
+        assert [r.phase_time for r in result.records] == [
+            r.phase_time for r in full.records
+        ]
+        assert result.trace.totals() == full.trace.totals()
+
+        # rows that do not line up with the records are not attached
+        rs["trace_rows"] = rs["trace_rows"][:-1]
+        records = Simulation.from_checkpoint(resave("misaligned.npz")).records
+        assert len(records) == 6 and all(r.phase_time == {} for r in records)
 
     def test_checkpoint_event_recorded(self, tmp_path):
         sim = Simulation(_config())
