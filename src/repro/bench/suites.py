@@ -455,7 +455,7 @@ def _telemetry_overhead(_ctx) -> BenchObservation:
     traced.run(6)
     _check(traced.vm.elapsed() == plain.vm.elapsed(), "telemetry moved vm.elapsed()")
     traced.telemetry.metrics_lines()
-    traced.telemetry.tracer.to_chrome()
+    traced.telemetry.to_chrome()
     return BenchObservation(
         vm_seconds=traced.vm.elapsed(), op_counts=traced.vm.ops.as_dict()
     )

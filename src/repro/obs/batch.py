@@ -13,8 +13,11 @@ document (schema ``repro-batch-rollup/1``): per-policy phase-time
 breakdowns, load-imbalance distributions, retry / cache / quarantine
 counters, the queue-depth timeline, and a correlation audit proving
 that every artifact joins on ``batch_id`` / ``job_id`` / ``attempt``
-with no orphans.  ``repro report --batch DIR`` renders it via
-:func:`render_batch_rollup`.
+with no orphans.  The per-job rows and the counters come from one
+:class:`~repro.obs.top.BatchView` fold of the stream's events — the
+same fold ``repro top`` and ``repro jobs --stream`` read, and the same
+counting rule as the stream's own summary.  ``repro report --batch
+DIR`` renders it via :func:`render_batch_rollup`.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.top import BatchView
 from repro.telemetry.report import format_table
 from repro.telemetry.schema import (
     ParsedMetrics,
-    ParsedService,
     TelemetrySchemaError,
     validate_metrics,
     validate_service,
@@ -40,52 +43,20 @@ BATCH_ROLLUP_SCHEMA = "repro-batch-rollup/1"
 STREAM_NAME = "service.jsonl"
 
 
-def _counter(summary: dict | None, name: str) -> float:
-    """One counter value from a service summary's registry snapshot."""
-    if summary is None:
-        return 0.0
-    entry = (summary.get("aggregates") or {}).get(name)
-    if not entry or entry.get("kind") != "counter":
-        return 0.0
-    return float(entry.get("value") or 0.0)
-
-
-def _job_table(stream: ParsedService) -> dict[str, dict]:
-    """Fold the stream's job events into one row per job name."""
-    jobs: dict[str, dict] = {}
-    for ev in stream.job_events():
-        row = jobs.setdefault(
-            ev["job"],
-            {
-                "job_id": ev.get("job_id"),
-                "launches": 0,
-                "retries": 0,
-                "attempts": 0,
-                "state": "pending",
-                "cached": False,
-                "wall": 0.0,
-            },
-        )
-        if ev.get("job_id") is not None:
-            row["job_id"] = ev["job_id"]
-        if ev.get("attempt") is not None:
-            row["attempts"] = max(row["attempts"], int(ev["attempt"]) + 1)
-        kind = ev["kind"]
-        if kind == "job_launched":
-            row["launches"] += 1
-            row["state"] = "running"
-        elif kind == "job_retry":
-            row["retries"] += 1
-            row["state"] = "retrying"
-        elif kind == "job_done":
-            row["state"] = "done"
-            row["cached"] = bool(ev.get("cached"))
-            row["wall"] = float(ev.get("wall", 0.0))
-        elif kind == "job_failed":
-            row["state"] = "failed"
-        elif kind == "job_cancelled":
-            row["state"] = "cancelled"
-    return jobs
+#: rollup ``counters`` key -> the batch counter it reads
+_ROLLUP_COUNTERS = {
+    "completed": "jobs.completed",
+    "failed": "jobs.failed",
+    "cancelled": "jobs.cancelled",
+    "retries": "jobs.retries",
+    "timeouts": "jobs.timeouts",
+    "cache_hits": "cache.hits",
+    "cache_misses": "cache.misses",
+    "cache_quarantined": "cache.quarantined",
+    "workers_lost": "workers.lost",
+    "heartbeats_lost": "heartbeats.lost",
+    "pool_shrinks": "pool.shrinks",
+}
 
 
 def _imbalance_summary(values: list[float]) -> dict | None:
@@ -143,7 +114,9 @@ def aggregate_batch(directory: str | Path) -> dict:
     metrics_paths = sorted(directory.glob("job-*.metrics.jsonl"))
     joined: list[tuple[str, ParsedMetrics]] = []
     orphans: list[dict] = []
-    jobs = _job_table(stream)
+    view = BatchView()
+    view.apply_all(stream.events)
+    jobs = view.job_table()
     known_job_ids = {row["job_id"] for row in jobs.values() if row["job_id"]}
     for path in metrics_paths:
         metrics = validate_metrics(path)
@@ -160,7 +133,6 @@ def aggregate_batch(directory: str | Path) -> dict:
         for ev in stream.events
         if "queue_depth" in ev
     ]
-    summary = stream.summary
     rollup = {
         "schema": BATCH_ROLLUP_SCHEMA,
         "batch_id": batch_id,
@@ -169,17 +141,7 @@ def aggregate_batch(directory: str | Path) -> dict:
         "workers": int(stream.header["workers"]),
         "started_at": stream.header.get("started_at"),
         "counters": {
-            "completed": _counter(summary, "jobs.completed"),
-            "failed": _counter(summary, "jobs.failed"),
-            "cancelled": _counter(summary, "jobs.cancelled"),
-            "retries": _counter(summary, "jobs.retries"),
-            "timeouts": _counter(summary, "jobs.timeouts"),
-            "cache_hits": _counter(summary, "cache.hits"),
-            "cache_misses": _counter(summary, "cache.misses"),
-            "cache_quarantined": _counter(summary, "cache.quarantined"),
-            "workers_lost": _counter(summary, "workers.lost"),
-            "heartbeats_lost": _counter(summary, "heartbeats.lost"),
-            "pool_shrinks": _counter(summary, "pool.shrinks"),
+            key: float(view.count(name)) for key, name in _ROLLUP_COUNTERS.items()
         },
         "queue_depth_timeline": queue_timeline,
         "jobs_detail": jobs,

@@ -6,6 +6,12 @@ renders a small refreshing dashboard: one row per job with state,
 attempt, iteration progress and last-known load imbalance, plus batch
 totals (pool size, queue depth, retries, cache hits, circuit state).
 
+:class:`BatchView` is the one fold of a service stream: the dashboard,
+the ``jobs_detail`` / ``counters`` of a batch rollup
+(:func:`repro.obs.batch.aggregate_batch`) and the stream-sourced columns
+of ``repro jobs --stream`` all read it.  Its counters follow the same
+rule as the writer's summary (:func:`~repro.telemetry.schema.event_counters`).
+
 The reader is incremental and torn-line tolerant: a partially flushed
 last line is left in the buffer until the writer completes it, so
 tailing never crashes mid-batch.  The loop exits cleanly when the
@@ -20,10 +26,15 @@ import sys
 import time
 from pathlib import Path
 
+from repro.telemetry.schema import event_counters
+
 __all__ = ["BatchView", "read_stream", "render_top", "top_loop"]
 
 #: job states rendered as "active" (spinner-worthy) in the dashboard
 _ACTIVE = ("running", "retrying", "queued")
+
+#: the per-job keys a rollup's ``jobs_detail`` keeps
+_DETAIL_KEYS = ("job_id", "launches", "retries", "attempts", "state", "cached", "wall")
 
 #: display order: active jobs first, then terminal ones
 _STATE_ORDER = {
@@ -64,17 +75,17 @@ def read_stream(path: str | Path, *, offset: int = 0) -> tuple[list[dict], int]:
 
 
 class BatchView:
-    """Mutable fold of a service stream into a dashboard state."""
+    """Mutable fold of a service stream: per-job rows + the batch tally."""
 
     def __init__(self) -> None:
         self.header: dict | None = None
         self.summary: dict | None = None
         self.jobs: dict[str, dict] = {}
+        #: batch counters by registry name (the summary's counter names)
+        self.counts: dict[str, int] = {}
         self.queue_depth = 0
         self.pool_size: int | None = None
         self.circuit_open = False
-        self.retries = 0
-        self.cache_hits = 0
         self.last_t = 0.0
 
     @property
@@ -86,19 +97,33 @@ class BatchView:
     def batch_id(self) -> str | None:
         return (self.header or {}).get("batch_id")
 
+    def count(self, name: str) -> int:
+        """Batch counter ``name`` as folded so far (0 before its first event)."""
+        return self.counts.get(name, 0)
+
+    def job_table(self) -> dict[str, dict]:
+        """One ``jobs_detail`` row per job name (the rollup's projection)."""
+        return {
+            name: {key: row[key] for key in _DETAIL_KEYS}
+            for name, row in self.jobs.items()
+        }
+
     def _job(self, name: str) -> dict:
         return self.jobs.setdefault(
             name,
             {
+                "job_id": None,
+                "launches": 0,
+                "retries": 0,
+                "attempts": 0,  # highest attempt index seen + 1
                 "state": "queued",
-                "attempt": 0,
+                "cached": False,
+                "wall": 0.0,
                 "iteration": None,
                 "total": None,
                 "imbalance": None,
                 "rate": None,  # iterations per stream-second
                 "_rate_mark": None,  # (t, iteration) of last progress
-                "wall": None,
-                "cached": False,
             },
         )
 
@@ -116,13 +141,19 @@ class BatchView:
         t = float(record.get("t", self.last_t))
         self.last_t = max(self.last_t, t)
         self.queue_depth = int(record.get("queue_depth", self.queue_depth))
+        for counter in event_counters(record):
+            self.counts[counter] = self.counts.get(counter, 0) + 1
         name = record.get("kind")
         job = record.get("job")
         row = self._job(job) if isinstance(job, str) else None
-        if row is not None and record.get("attempt") is not None:
-            row["attempt"] = int(record["attempt"])
+        if row is not None:
+            if record.get("job_id") is not None:
+                row["job_id"] = record["job_id"]
+            if record.get("attempt") is not None:
+                row["attempts"] = max(row["attempts"], int(record["attempt"]) + 1)
         if name == "job_launched" and row is not None:
             row["state"] = "running"
+            row["launches"] += 1
             row["_rate_mark"] = None
         elif name == "job_progress" and row is not None:
             row["state"] = "running"
@@ -136,11 +167,11 @@ class BatchView:
             row["_rate_mark"] = (t, record.get("iteration", 0))
         elif name == "job_done" and row is not None:
             row["state"] = "done"
-            row["wall"] = record.get("wall")
+            row["wall"] = float(record.get("wall", 0.0))
             row["cached"] = bool(record.get("cached"))
         elif name == "job_retry" and row is not None:
             row["state"] = "retrying"
-            self.retries += 1
+            row["retries"] += 1
         elif name == "job_failed" and row is not None:
             row["state"] = "failed"
         elif name == "job_cancelled" and row is not None:
@@ -151,8 +182,6 @@ class BatchView:
             self.pool_size = int(record.get("size", 0))
         elif name == "circuit_open":
             self.circuit_open = True
-        if name == "job_done" and record.get("cached"):
-            self.cache_hits += 1
 
     def apply_all(self, records: list[dict]) -> None:
         for record in records:
@@ -190,8 +219,8 @@ def render_top(view: BatchView) -> str:
         + ("   CIRCUIT OPEN" if view.circuit_open else "")
     )
     out.append(
-        f"retries {view.retries}   cache hits {view.cache_hits}   "
-        f"t +{view.last_t:.1f}s"
+        f"retries {view.count('jobs.retries')}   "
+        f"cache hits {view.count('cache.hits')}   t +{view.last_t:.1f}s"
     )
     out.append("")
     header = (
@@ -209,10 +238,10 @@ def render_top(view: BatchView) -> str:
         imb = f"{row['imbalance']:.2f}" if row["imbalance"] is not None else "-"
         cell = _progress_cell(row, width=18)
         if row["state"] == "done":
-            wall = f"{row['wall']:.2f}s" if row["wall"] is not None else ""
-            cell = ("cached " if row["cached"] else "done ") + wall
+            cell = ("cached " if row["cached"] else "done ") + f"{row['wall']:.2f}s"
+        attempt = max(row["attempts"] - 1, 0)
         out.append(
-            f"{name:<22.22s} {row['state']:<9s} {row['attempt']:>3d} "
+            f"{name:<22.22s} {row['state']:<9s} {attempt:>3d} "
             f"{cell:<26.26s} {rate:>7s} {imb:>6s}"
         )
     if view.finished:

@@ -921,11 +921,7 @@ class Simulation:
             all_parts = data.all_particles()
             fields = data.fields
             restart_iteration = data.iteration
-            self.policy = policy_from_state(rs["policy"])
-            self.records = _records_from_state(rs)
-            self.n_redistributions = int(rs["n_redistributions"])
-            self.redistribution_time = float(rs["redistribution_time"])
-            self._setup_cost = float(rs["setup_cost"])
+            self._load_run_state(rs)
             # survivors re-read the checkpoint from stable storage: one
             # broadcast of the full state, charged under "recovery"
             nbytes = int(all_parts.to_matrix().nbytes) + sum(
@@ -1145,6 +1141,19 @@ class Simulation:
         sim._last_checkpoint = Path(path)
         return sim
 
+    def _load_run_state(self, rs: dict) -> None:
+        """Reload the control state a checkpoint's run state carries.
+
+        Shared by :meth:`_restore` and the checkpoint branch of
+        :meth:`_recover`: the (unbound) policy, the per-iteration
+        records, the redistribution tallies and the setup cost.
+        """
+        self.policy = policy_from_state(rs["policy"])
+        self.records = _records_from_state(rs)
+        self.n_redistributions = int(rs["n_redistributions"])
+        self.redistribution_time = float(rs["redistribution_time"])
+        self._setup_cost = float(rs["setup_cost"])
+
     def _restore(self, data: CheckpointData) -> None:
         cfg = self.config
         rs = data.run_state
@@ -1170,7 +1179,7 @@ class Simulation:
         # pre-checkpoint time belongs to the restored records, not to the
         # next iteration's phase_time
         self._phase_base = self.vm.phase_breakdown()
-        self.policy = policy_from_state(rs["policy"])
+        self._load_run_state(rs)
         self.policy.bind(self.vm)
         if self.redistributor is not None:
             if data.sort_keys is None:
@@ -1179,11 +1188,7 @@ class Simulation:
                     "configured run (lagrangian movement) needs them"
                 )
             self.redistributor.restore_keys(data.sort_keys, self.pic.particles)
-        self._setup_cost = float(rs["setup_cost"])
         self.iteration = data.iteration
-        self.records = _records_from_state(rs)
-        self.n_redistributions = int(rs["n_redistributions"])
-        self.redistribution_time = float(rs["redistribution_time"])
         # keys absent from checkpoints written before fault tolerance
         self.n_recoveries = int(rs.get("n_recoveries", 0))
         self.recovery_time = float(rs.get("recovery_time", 0.0))

@@ -26,14 +26,18 @@ at most ``workers`` live at a time) with full fault tolerance:
   (never below one); a bounded queue keeps huge sweeps from
   materializing all supervision state at once; ``max_failures`` is a
   circuit breaker that stops launching after N distinct job failures
-  and cancels the remainder, reporting everything in the batch report.
+  and cancels the remainder (one ``job_cancelled`` event per job),
+  reporting everything in the batch report.
   A live job that fails retryably *after* the breaker opened is
   cancelled too (never rescheduled — nothing launches once the circuit
   is open), so the batch always terminates.
 
 The returned batch report (schema ``repro-batch/1``) records every
 job's terminal state, attempts, retries (with reasons and delays),
-cache provenance, and final-state summary; ``repro jobs`` renders it.
+cache provenance, and final-state summary; its ``counters`` block reads
+the service stream's tally (:class:`~repro.service.telemetry.ServiceTelemetry`),
+so it agrees with the summary, Prometheus and the rollup.  ``repro
+jobs`` renders it.
 """
 
 from __future__ import annotations
@@ -105,23 +109,6 @@ class _Live:
     last_beat: float
     finished: bool = False  #: terminal message received (EOF is then benign)
     beating: bool = False  #: first message received — heartbeat watchdog armed
-
-
-@dataclass
-class _Counters:
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    cache_hits: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    heartbeats_lost: int = 0
-    worker_losses: int = 0
-    quarantined: int = 0
-    pool_shrinks: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass
@@ -222,7 +209,6 @@ class Scheduler:
                 labels={"batch": batch_id},
             )
 
-        counters = _Counters()
         queue = JobQueue(maxsize=self.queue_maxsize)
         backlog: deque[JobRecord] = deque(records)
         waiting: list[tuple[float, JobRecord]] = []
@@ -242,10 +228,7 @@ class Scheduler:
             rec.cached = cached
             rec.payload = payload
             rec.wall += wall
-            counters.completed += 1
-            if cached:
-                counters.cache_hits += 1
-            else:
+            if not cached:
                 consecutive_losses = 0
                 if self.cache is not None:
                     self.cache.put(rec.key, payload)
@@ -259,9 +242,7 @@ class Scheduler:
         def note_quarantines() -> None:
             if self.cache is None:
                 return
-            while counters.quarantined < len(self.cache.quarantined):
-                path, reason = self.cache.quarantined[counters.quarantined]
-                counters.quarantined += 1
+            for path, reason in self.cache.quarantined[tel.count("cache.quarantined"):]:
                 tel.on_quarantine(path, reason)
                 say(f"quarantined corrupt cache entry: {path}")
 
@@ -270,27 +251,22 @@ class Scheduler:
             if circuit_open:
                 return
             circuit_open = True
-            cancelled = 0
-            for rec in list(backlog) + [r for _, r in waiting]:
-                rec.state = JobState.CANCELLED
-                rec.error = (
-                    f"cancelled: the batch hit max_failures={self.max_failures}"
-                )
-                cancelled += 1
+            cancelled = list(backlog) + [r for _, r in waiting]
             while queue:
-                rec = queue.pop()
-                rec.state = JobState.CANCELLED
-                rec.error = (
-                    f"cancelled: the batch hit max_failures={self.max_failures}"
-                )
-                cancelled += 1
+                cancelled.append(queue.pop())
             backlog.clear()
             waiting.clear()
-            counters.cancelled += cancelled
-            tel.on_circuit_open(counters.failed, cancelled)
+            tel.set_queue_depth(0)
+            failures = tel.count("jobs.failed")
+            tel.on_circuit_open(failures, len(cancelled))
+            reason = f"the batch hit max_failures={self.max_failures}"
+            for rec in cancelled:
+                rec.state = JobState.CANCELLED
+                rec.error = f"cancelled: {reason}"
+                tel.on_cancelled(rec, reason)
             say(
-                f"circuit breaker open after {counters.failed} failures; "
-                f"{cancelled} job(s) cancelled"
+                f"circuit breaker open after {failures} failures; "
+                f"{len(cancelled)} job(s) cancelled"
             )
 
         def retry_or_fail(rec: JobRecord, reason: str, wall: float) -> None:
@@ -299,10 +275,9 @@ class Scheduler:
             if attempt >= self.retries:
                 rec.state = JobState.FAILED
                 rec.error = reason
-                counters.failed += 1
                 tel.on_failed(rec, reason)
                 say(f"FAILED {rec.name}: {reason}")
-                if self.max_failures and counters.failed >= self.max_failures:
+                if self.max_failures and tel.count("jobs.failed") >= self.max_failures:
                     open_circuit()
                 return
             if circuit_open:
@@ -314,7 +289,6 @@ class Scheduler:
                     f"cancelled after {reason}: the batch circuit breaker "
                     f"is open (max_failures={self.max_failures})"
                 )
-                counters.cancelled += 1
                 tel.on_cancelled(rec, reason)
                 say(f"cancelled {rec.name} (circuit open): {reason}")
                 return
@@ -327,7 +301,6 @@ class Scheduler:
             rec.attempt = attempt + 1
             rec.state = JobState.WAITING
             waiting.append((time.monotonic() + delay, rec))
-            counters.retries += 1
             tel.on_retry(rec, rec.attempt, reason, delay)
             say(f"retry {rec.name} (attempt {rec.attempt + 1}) in {delay:.2f}s: {reason}")
 
@@ -343,13 +316,11 @@ class Scheduler:
 
         def worker_lost(entry: _Live, reason: str) -> None:
             nonlocal pool_size, consecutive_losses
-            counters.worker_losses += 1
             consecutive_losses += 1
             tel.on_worker_lost(entry.record, entry.process.exitcode)
             if consecutive_losses >= self.shrink_after and pool_size > 1:
                 pool_size -= 1
                 consecutive_losses = 0
-                counters.pool_shrinks += 1
                 tel.on_pool_shrink(
                     pool_size,
                     f"{self.shrink_after} consecutive worker losses",
@@ -408,7 +379,6 @@ class Scheduler:
                 if hit is not None:
                     finish_done(rec, 0.0, hit, cached=True)
                     continue
-                tel.on_cache_miss(rec)
                 launch(rec)
             flush_prom()
 
@@ -476,7 +446,6 @@ class Scheduler:
                 if self.timeout is not None and now - entry.started >= self.timeout:
                     kill_entry(entry)
                     del live[conn]
-                    counters.timeouts += 1
                     elapsed = now - entry.started
                     tel.on_timeout(rec, self.timeout, elapsed)
                     retry_or_fail(
@@ -495,7 +464,6 @@ class Scheduler:
                     silent = now - entry.last_beat
                     kill_entry(entry)
                     del live[conn]
-                    counters.heartbeats_lost += 1
                     tel.on_heartbeat_lost(rec, silent)
                     retry_or_fail(
                         rec,
@@ -540,7 +508,7 @@ class Scheduler:
             "ok": ok,
             "circuit_open": circuit_open,
             "wall": round(time.monotonic() - t_batch0, 6),
-            "counters": counters.to_dict(),
+            "counters": tel.report_counters(),
             "jobs": [rec.to_dict() for rec in records],
         }
         self._records = records  # tests inspect payloads post-run
@@ -555,12 +523,14 @@ def run_batch(jobs: list[JobSpec], **kwargs) -> dict:
 def render_report(report: dict, *, events: list[dict] | None = None) -> str:
     """Terminal rendering of a batch report (``repro jobs``).
 
-    ``events`` (optional) is the batch's service stream — the event
-    records of the ``service.jsonl`` next to the report.  When given,
-    the *attempts* and *cache* columns are sourced from the stream
-    (launch counts and ``job_done.cached`` flags) instead of the report
-    snapshot, so the table reflects what actually happened on the wire.
+    ``events`` (optional) is the batch's service stream — the records
+    of the ``service.jsonl`` next to the report.  When given, the
+    *attempts* and *cache* columns are sourced from its
+    :class:`~repro.obs.top.BatchView` fold (launch counts and
+    ``job_done.cached`` flags) instead of the report snapshot, so the
+    table reflects what actually happened on the wire.
     """
+    from repro.obs.top import BatchView
     from repro.telemetry.report import format_table
 
     if report.get("schema") != BATCH_SCHEMA:
@@ -568,17 +538,8 @@ def render_report(report: dict, *, events: list[dict] | None = None) -> str:
             f"not a batch report (schema {report.get('schema')!r}, "
             f"expected {BATCH_SCHEMA!r})"
         )
-    launches: dict[str, int] = {}
-    stream_cached: dict[str, bool] = {}
-    if events is not None:
-        for rec in events:
-            if rec.get("type") != "event":
-                continue
-            job = rec.get("job")
-            if rec.get("kind") == "job_launched":
-                launches[job] = launches.get(job, 0) + 1
-            elif rec.get("kind") == "job_done":
-                stream_cached[job] = bool(rec.get("cached"))
+    view = BatchView()
+    view.apply_all(events or [])
     rows = []
     for job in report["jobs"]:
         state = job["state"]
@@ -587,12 +548,10 @@ def render_report(report: dict, *, events: list[dict] | None = None) -> str:
             note = f"resumed@{job['resumed_from']}"
         if job.get("error"):
             note = (note + " " if note else "") + job["error"][:40]
-        if events is not None:
-            attempts = launches.get(job["name"], job["attempts"])
-            cached = stream_cached.get(job["name"], job.get("cached", False))
-        else:
-            attempts = job["attempts"]
-            cached = job.get("cached", False)
+        row = view.jobs.get(job["name"])
+        attempts = (row and row["launches"]) or job["attempts"]
+        done = row is not None and row["state"] == "done"
+        cached = row["cached"] if done else job.get("cached", False)
         rows.append(
             [
                 job["name"],

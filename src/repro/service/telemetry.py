@@ -3,11 +3,21 @@
 Mirrors the run-level :mod:`repro.telemetry` shape one level up: a
 :class:`ServiceTelemetry` collects an ordered stream of scheduler
 events (launches, progress, heartbeats lost, retries, worker deaths,
-cache hits and quarantines, pool shrinks, circuit-breaker trips) plus a
-:class:`~repro.telemetry.metrics.MetricsRegistry` of batch-wide
-counters and the queue-depth gauge, and writes them as JSONL — schema
+cache hits and quarantines, pool shrinks, circuit-breaker trips and the
+per-job cancellations they cause) and writes it as JSONL — schema
 ``repro-service/2``: a ``header`` line, ``event`` lines in occurrence
-order, and a closing ``summary`` with the registry snapshot.
+order, and a closing ``summary`` with a
+:class:`~repro.telemetry.metrics.MetricsRegistry` snapshot.
+
+The event stream is the batch's only tally.  :meth:`ServiceTelemetry.event`
+moves every batch counter through one rule,
+:func:`~repro.telemetry.schema.event_counters`
+(event kind -> counters), so the summary, the Prometheus snapshot, the
+batch report's ``counters`` block (:meth:`ServiceTelemetry.report_counters`)
+and any later fold of the stream (:class:`repro.obs.top.BatchView`,
+``repro report --batch``) count the same facts.  Only what the
+throttled stream cannot carry stays live: ``heartbeats.received``,
+``jobs.imbalance.last`` and the ``queue.depth`` gauge.
 
 Timestamps follow the observability contract (DESIGN.md §5.8): every
 event's ``t`` is a ``time.monotonic()`` delta from batch start, so
@@ -32,6 +42,7 @@ import time
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.schema import event_counters
 
 __all__ = ["ServiceTelemetry", "SERVICE_SCHEMA"]
 
@@ -41,9 +52,23 @@ SERVICE_SCHEMA = "repro-service/2"
 #: minimum seconds between two job_progress events for the same job
 _PROGRESS_EVERY = 0.2
 
+#: batch-report ``counters`` key -> the counter it reads
+_REPORT_COUNTERS = {
+    "completed": "jobs.completed",
+    "failed": "jobs.failed",
+    "cancelled": "jobs.cancelled",
+    "cache_hits": "cache.hits",
+    "retries": "jobs.retries",
+    "timeouts": "jobs.timeouts",
+    "heartbeats_lost": "heartbeats.lost",
+    "worker_losses": "workers.lost",
+    "quarantined": "cache.quarantined",
+    "pool_shrinks": "pool.shrinks",
+}
+
 
 class ServiceTelemetry:
-    """Event stream + metrics registry for one scheduler batch."""
+    """Event stream + its tally for one scheduler batch."""
 
     def __init__(
         self,
@@ -107,7 +132,7 @@ class ServiceTelemetry:
         self.registry.gauge("queue.depth").set(depth)
 
     def event(self, kind: str, **fields) -> dict:
-        """Record one scheduler event; returns the stored record."""
+        """Record one scheduler event and tally it; returns the record."""
         record = {
             "type": "event",
             "kind": kind,
@@ -116,8 +141,20 @@ class ServiceTelemetry:
             **fields,
         }
         self.records.append(record)
+        for name in event_counters(record):
+            self.registry.counter(name).inc()
+        if kind == "pool_shrink":
+            self.registry.gauge("pool.size").set(record["size"])
         self._emit(record)
         return record
+
+    def count(self, name: str) -> int:
+        """Current value of batch counter ``name`` (0 before its first event)."""
+        return int(self.registry.counter(name).value) if name in self.registry else 0
+
+    def report_counters(self) -> dict[str, int]:
+        """The batch report's ``counters`` block, read from the tally."""
+        return {key: self.count(name) for key, name in _REPORT_COUNTERS.items()}
 
     def _job_event(self, kind: str, job, **fields) -> dict:
         """Event stamped with the job's correlation identity.
@@ -131,9 +168,8 @@ class ServiceTelemetry:
             job = job.name
         return self.event(kind, job=job, **fields)
 
-    # convenience wrappers keeping counter names in one place ------------
+    # convenience wrappers keeping event fields in one place -------------
     def on_launch(self, job, attempt: int) -> None:
-        self.registry.counter("jobs.launched").inc()
         self._job_event("job_launched", job, attempt=int(attempt))
 
     def on_heartbeat(
@@ -163,13 +199,9 @@ class ServiceTelemetry:
         self._job_event("job_progress", job, **fields)
 
     def on_done(self, job, wall: float, cached: bool) -> None:
-        self.registry.counter("jobs.completed").inc()
-        if cached:
-            self.registry.counter("cache.hits").inc()
         self._job_event("job_done", job, wall=round(wall, 6), cached=cached)
 
     def on_retry(self, job, attempt: int, reason: str, delay: float) -> None:
-        self.registry.counter("jobs.retries").inc()
         # ``attempt`` is the upcoming attempt (as in schema /1); the
         # explicit value wins over the record's correlation default
         self._job_event(
@@ -178,37 +210,26 @@ class ServiceTelemetry:
         )
 
     def on_failed(self, job, reason: str) -> None:
-        self.registry.counter("jobs.failed").inc()
         self._job_event("job_failed", job, reason=reason)
 
     def on_timeout(self, job, limit: float, elapsed: float) -> None:
-        self.registry.counter("jobs.timeouts").inc()
         self._job_event(
             "job_timeout", job, limit=limit, elapsed=round(elapsed, 6)
         )
 
     def on_heartbeat_lost(self, job, silent_for: float) -> None:
-        self.registry.counter("heartbeats.lost").inc()
         self._job_event("heartbeat_lost", job, silent_for=round(silent_for, 6))
 
     def on_worker_lost(self, job, exitcode: int | None) -> None:
-        self.registry.counter("workers.lost").inc()
         self._job_event("worker_lost", job, exitcode=exitcode)
 
     def on_cancelled(self, job, reason: str) -> None:
-        self.registry.counter("jobs.cancelled").inc()
         self._job_event("job_cancelled", job, reason=reason)
 
     def on_pool_shrink(self, size: int, reason: str) -> None:
-        self.registry.counter("pool.shrinks").inc()
-        self.registry.gauge("pool.size").set(size)
         self.event("pool_shrink", size=size, reason=reason)
 
-    def on_cache_miss(self, job) -> None:
-        self.registry.counter("cache.misses").inc()
-
     def on_quarantine(self, path: str, reason: str) -> None:
-        self.registry.counter("cache.quarantined").inc()
         self.event("cache_quarantine", path=path, reason=reason)
 
     def on_circuit_open(self, failures: int, cancelled: int) -> None:

@@ -7,11 +7,9 @@ enabled.  It bundles
 * a :class:`~repro.telemetry.spans.SpanTracer` attached to the virtual
   machine (``vm.tracer``) that captures every (iteration, phase, rank)
   interval on the virtual clocks,
-* a :class:`~repro.telemetry.metrics.MetricsRegistry` of run-wide
-  counters / gauges / histograms, and
-* an ordered stream of per-iteration records and one-off events that
-  :meth:`save_metrics` writes as JSONL — one JSON object per line,
-  schema ``repro-metrics/1``:
+* an ordered stream of per-iteration records and one-off events
+  (:attr:`RunTelemetry.records`) that :meth:`save_metrics` writes as
+  JSONL — one JSON object per line, schema ``repro-metrics/1``:
 
   - line 1: a ``header`` record (schema marker, rank count, config);
   - one ``iteration`` record per completed iteration — phase time
@@ -20,7 +18,16 @@ enabled.  It bundles
     redistribution-decision records, redistribution outcome;
   - ``event`` records (checkpoint written, rank failure, recovery,
     machine shrink) interleaved in occurrence order;
-  - a final ``summary`` record with the registry snapshot and totals.
+  - a final ``summary`` record with the registry snapshot and totals;
+
+* a :class:`~repro.telemetry.metrics.MetricsRegistry` of run-wide
+  counters / gauges / histograms, fed only from the records as they are
+  appended.
+
+The records are the single source: the registry, and every track of
+the trace export other than the spans — instant events, the counter
+tracks, the ``rank_history`` lane record and the correlation stamp —
+are projections of them (:meth:`RunTelemetry.to_chrome`).
 
 The zero-cost contract: nothing in this module reads or charges the
 virtual clocks, so a run with telemetry attached produces bit-identical
@@ -36,12 +43,18 @@ import numpy as np
 
 from repro.core.metrics import load_imbalance
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanTracer
+from repro.telemetry.spans import TRACE_SCHEMA, SpanTracer
 
 __all__ = ["RunTelemetry", "METRICS_SCHEMA"]
 
 #: Schema marker on the first line of every metrics JSONL stream.
 METRICS_SCHEMA = "repro-metrics/1"
+
+#: metrics event kind -> the registry counter one such event moves
+_EVENT_COUNTERS = {"guard_violation": "guard.violations", "shrink": "recovery.count"}
+
+#: event-record keys that are not instant-marker args
+_EVENT_KEYS = ("type", "kind", "iteration", "t")
 
 
 def _comm_dict(epochs: list[dict]) -> dict:
@@ -98,11 +111,10 @@ class RunTelemetry:
         self.degraded = degraded
         self.correlation = dict(correlation) if correlation is not None else None
         self.tracer = SpanTracer()
-        self.tracer.note_ranks(p)
-        self.tracer.correlation = self.correlation
-        self.registry = MetricsRegistry()
         #: ordered stream of iteration + event records (JSONL body)
         self.records: list[dict] = []
+        #: aggregates folded from :attr:`records` by :meth:`_append`
+        self.registry = MetricsRegistry()
         self._pending_sar: list[dict] = []
         self._iter_t0: float | None = None
         self._iter_ops: dict[str, float] = {}
@@ -181,33 +193,41 @@ class RunTelemetry:
                 "table_ops": ghost_now[1] - g0[1],
                 "hit_ratio": (1.0 - unique / entries) if entries > 0 else 0.0,
             }
-            self.registry.counter("ghost.entries").inc(max(entries, 0.0))
         self._pending_sar = []
-        self.records.append(entry)
+        self._append(entry)
         self.enabled_iterations += 1
+        return entry
 
-        # -- registry aggregates ----------------------------------------
+    def _append(self, record: dict) -> None:
+        """Store one stream record and fold it into the registry.
+
+        The registry's only feed: every aggregate is a projection of
+        :attr:`records`.
+        """
+        self.records.append(record)
         reg = self.registry
+        if record["type"] == "event":
+            name = _EVENT_COUNTERS.get(record["kind"])
+            if name is not None:
+                reg.counter(name).inc()
+            return
         reg.counter("iterations").inc()
-        reg.histogram("iteration.time").observe(entry["t_iter"])
-        reg.histogram("load.imbalance").observe(imbalance)
-        reg.gauge("load.imbalance.last").set(imbalance)
-        reg.gauge("ranks.live").set(vm.p)
-        for phase, tallies in entry["comm"].items():
+        reg.histogram("iteration.time").observe(record["t_iter"])
+        reg.histogram("load.imbalance").observe(record["imbalance"])
+        reg.gauge("load.imbalance.last").set(record["imbalance"])
+        reg.gauge("ranks.live").set(record["p"])
+        for phase, tallies in record["comm"].items():
             reg.counter(f"comm.{phase}.msgs").inc(tallies["msgs"])
             reg.counter(f"comm.{phase}.bytes").inc(tallies["bytes"])
-        if record.redistributed:
+        if "ghost" in record:
+            reg.counter("ghost.entries").inc(max(record["ghost"]["entries"], 0.0))
+        for decision in record["sar_decisions"]:
+            reg.counter("sar.evaluations").inc()
+            if decision.get("fired"):
+                reg.counter("sar.fired").inc()
+        if record["redistributed"]:
             reg.counter("redistribution.count").inc()
-            reg.histogram("redistribution.cost").observe(record.redistribution_cost)
-
-        # -- counter tracks on the trace timeline -------------------------
-        self.tracer.record_counters(
-            "load imbalance", t_end, {"max/mean": imbalance}
-        )
-        self.tracer.record_counters(
-            "particles", t_end, {"max_per_rank": max(counts, default=0)}
-        )
-        return entry
+            reg.histogram("redistribution.cost").observe(record["redistribution_cost"])
 
     # ------------------------------------------------------------------
     # decision + event feeds
@@ -217,26 +237,25 @@ class RunTelemetry:
 
         Wired as ``policy.decision_sink``; one call per
         ``should_redistribute`` evaluation.  Records accumulate on the
-        pending list and are attached to the iteration record being
-        assembled.
+        pending list and are attached to (and counted with) the
+        iteration record being assembled.
         """
         self._pending_sar.append(dict(decision))
-        self.registry.counter("sar.evaluations").inc()
-        if decision.get("fired"):
-            self.registry.counter("sar.fired").inc()
 
     def record_guard_violation(self, message: str) -> None:
         """Sink for invariant-guard violations (warn mode keeps running)."""
-        self.registry.counter("guard.violations").inc()
-        self.records.append({"type": "event", "kind": "guard_violation", "message": message})
+        self._append({"type": "event", "kind": "guard_violation", "message": message})
 
     def record_event(self, kind: str, *, t: float, iteration: int, **fields) -> None:
-        """Record a one-off event (checkpoint / failure / recovery / shrink)."""
-        self.records.append(
+        """Record a one-off event (checkpoint / failure / recovery / shrink).
+
+        Events carry a virtual time ``t``, so the trace export shows each
+        as an instant marker; later spans are tagged with ``iteration``.
+        """
+        self._append(
             {"type": "event", "kind": kind, "iteration": int(iteration), "t": float(t), **fields}
         )
         self.tracer.set_iteration(iteration)
-        self.tracer.record_instant(kind, t, **fields)
 
     def on_shrink(self, p_new: int, dead_rank: int, iteration: int, t: float) -> None:
         """The machine shrank to ``p_new`` ranks after ``dead_rank`` died.
@@ -246,8 +265,6 @@ class RunTelemetry:
         widths (the no-stale-rank-columns contract).
         """
         self.p = int(p_new)
-        self.tracer.note_ranks(p_new)
-        self.registry.counter("recovery.count").inc()
         self.record_event(
             "shrink", t=t, iteration=iteration, dead_rank=int(dead_rank), p=int(p_new)
         )
@@ -262,7 +279,6 @@ class RunTelemetry:
     def set_correlation(self, correlation: dict | None) -> None:
         """Stamp (or clear) the batch identity on header + trace export."""
         self.correlation = dict(correlation) if correlation is not None else None
-        self.tracer.correlation = self.correlation
 
     def header(self) -> dict:
         """The JSONL header record."""
@@ -299,9 +315,77 @@ class RunTelemetry:
 
         return atomic_write_text(Path(path), "\n".join(self.metrics_lines()) + "\n")
 
+    def rank_history(self) -> list[list[int]]:
+        """Lane widths over the run: ``[iteration, p]`` entries.
+
+        The first entry is the enable-time width at iteration -1; each
+        ``shrink`` event adds one, at the iteration of the
+        ``rank_failure`` that caused it.
+        """
+        history = [[-1, self.initial_p]]
+        failed_at = None
+        for rec in self.records:
+            if rec.get("kind") == "rank_failure":
+                failed_at = rec["iteration"]
+            elif rec.get("kind") == "shrink":
+                at = rec["iteration"] if failed_at is None else failed_at
+                history.append([at, rec["p"]])
+        return history
+
+    def to_chrome(self) -> dict:
+        """Export as a Chrome Trace Event / Perfetto JSON object.
+
+        Spans come from the tracer; instants (every event with a virtual
+        time), the counter tracks (per-iteration load imbalance and
+        busiest-rank particle count) and the lane metadata come from
+        :attr:`records`.
+        """
+        history = self.rank_history()
+        lanes = 1 + max([s.rank for s in self.tracer.spans] + [p - 1 for _, p in history])
+        events = [
+            {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+             "args": {"name": "repro virtual machine"}}
+        ]
+        events += [
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": r, "args": {"name": f"rank {r}"}}
+            for r in range(lanes)
+        ]
+        events += self.tracer.span_events()
+        # instants: "s": "g" is global scope, a full-height marker line
+        events += [
+            {
+                "name": rec["kind"], "cat": "event", "ph": "i", "s": "g", "pid": 0, "tid": 0,
+                "ts": rec["t"] * 1e6,
+                "args": {
+                    "iteration": rec["iteration"],
+                    **{k: v for k, v in rec.items() if k not in _EVENT_KEYS},
+                },
+            }
+            for rec in self.records
+            if rec["type"] == "event" and "t" in rec
+        ]
+        events += [
+            {
+                "name": track, "cat": "metric", "ph": "C", "pid": 0, "tid": 0,
+                "ts": rec["t_end"] * 1e6, "args": values,
+            }
+            for rec in self.records
+            if rec["type"] == "iteration"
+            for track, values in (
+                ("load imbalance", {"max/mean": float(rec["imbalance"])}),
+                ("particles", {"max_per_rank": float(max(rec["particles_per_rank"], default=0))}),
+            )
+        ]
+        other = {"schema": TRACE_SCHEMA, "clock": "virtual", "rank_history": history}
+        if self.correlation is not None:
+            other["correlation"] = dict(self.correlation)
+        return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
+
     def save_trace(self, path: str | Path) -> Path:
-        """Write the Perfetto/Chrome trace JSON to ``path`` and return it."""
-        return self.tracer.save(path)
+        """Atomically write the Perfetto/Chrome trace JSON to ``path``."""
+        from repro.util.atomic_io import atomic_write_text
+
+        return atomic_write_text(Path(path), json.dumps(self.to_chrome()) + "\n")
 
     def __repr__(self) -> str:
         return (

@@ -28,6 +28,7 @@ __all__ = [
     "validate_trace",
     "validate_metrics",
     "validate_service",
+    "event_counters",
     "ParsedMetrics",
     "ParsedService",
 ]
@@ -117,6 +118,32 @@ def _check_decision(dec, ctx: str) -> None:
         _fail(f"{ctx} needs a boolean 'fired' verdict")
 
 
+def _load_jsonl(source: str | Path | list[str]) -> tuple[list[dict], str]:
+    """Parse a JSONL file path or list of lines; returns ``(records, where)``.
+
+    Blank lines are skipped; a line that is not JSON, or a source with no
+    records at all, raises :class:`TelemetrySchemaError`.
+    """
+    if isinstance(source, list):
+        lines = source
+        where = "<lines>"
+    else:
+        path = Path(source)
+        lines = path.read_text().splitlines()
+        where = str(path)
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            _fail(f"{where}:{lineno} is not valid JSON: {exc}")
+    if not records:
+        _fail(f"{where} is empty")
+    return records, where
+
+
 _ITERATION_KEYS = (
     "iteration",
     "p",
@@ -140,23 +167,7 @@ def validate_metrics(source: str | Path | list[str]) -> ParsedMetrics:
     events may lower mid-stream — stale rank columns are an error), and
     the presence of a closing summary record.
     """
-    if isinstance(source, list):
-        lines = source
-        where = "<lines>"
-    else:
-        path = Path(source)
-        lines = path.read_text().splitlines()
-        where = str(path)
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            _fail(f"{where}:{lineno} is not valid JSON: {exc}")
-    if not records:
-        _fail(f"{where} is empty")
+    records, where = _load_jsonl(source)
     header = records[0]
     if header.get("type") != "header" or header.get("schema") != METRICS_SCHEMA:
         _fail(
@@ -232,6 +243,30 @@ _JOB_EVENT_KINDS = frozenset(
 )
 
 
+#: event kind -> the batch counters one such event moves.  Every launch
+#: follows a cache miss, so ``cache.misses`` is the launch count.
+_EVENT_COUNTERS = {
+    "job_launched": ("jobs.launched", "cache.misses"),
+    "job_done": ("jobs.completed",),
+    "job_retry": ("jobs.retries",),
+    "job_failed": ("jobs.failed",),
+    "job_cancelled": ("jobs.cancelled",),
+    "job_timeout": ("jobs.timeouts",),
+    "heartbeat_lost": ("heartbeats.lost",),
+    "worker_lost": ("workers.lost",),
+    "pool_shrink": ("pool.shrinks",),
+    "cache_quarantine": ("cache.quarantined",),
+}
+
+
+def event_counters(record: dict) -> tuple[str, ...]:
+    """The batch counters one stream event moves (each by one)."""
+    names = _EVENT_COUNTERS.get(record.get("kind"), ())
+    if record.get("kind") == "job_done" and record.get("cached"):
+        names += ("cache.hits",)
+    return names
+
+
 class ParsedService:
     """Structured view of a validated service (batch) JSONL stream."""
 
@@ -266,23 +301,7 @@ def validate_service(source: str | Path | list[str]) -> ParsedService:
     stream being tailed mid-batch has no summary yet and is therefore
     *invalid* by design: completeness is part of the contract.
     """
-    if isinstance(source, list):
-        lines = source
-        where = "<lines>"
-    else:
-        path = Path(source)
-        lines = path.read_text().splitlines()
-        where = str(path)
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            _fail(f"{where}:{lineno} is not valid JSON: {exc}")
-    if not records:
-        _fail(f"{where} is empty")
+    records, where = _load_jsonl(source)
     header = records[0]
     if header.get("type") != "header" or header.get("schema") not in _SERVICE_SCHEMAS:
         _fail(

@@ -8,14 +8,17 @@ captures the per-rank clock values at entry and exit and hands them to
 virtual clocks, a trace is fully deterministic — two runs of the same
 configuration produce byte-identical trace files.
 
-The export format is the Chrome Trace Event JSON (the ``traceEvents``
-array form), which Perfetto (https://ui.perfetto.dev) and
-``chrome://tracing`` both load directly:
+Spans are all the tracer keeps.  The export
+(:meth:`repro.telemetry.collector.RunTelemetry.to_chrome`) is the
+Chrome Trace Event JSON (the ``traceEvents`` array form), which
+Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` both load
+directly; its other tracks are projections of the run's metrics
+records:
 
 * each rank maps to one thread lane (``tid = rank``) in process 0;
-* phase intervals are complete events (``"ph": "X"``) with microsecond
-  timestamps (virtual seconds × 1e6) and ``args`` carrying the
-  iteration number;
+* phase intervals are complete events (``"ph": "X"``, from
+  :meth:`SpanTracer.span_events`) with microsecond timestamps (virtual
+  seconds × 1e6) and ``args`` carrying the iteration number;
 * one-off occurrences (checkpoints, rank failures, recoveries) are
   instant events (``"ph": "i"``);
 * per-iteration scalars (load imbalance, particle counts) are counter
@@ -28,9 +31,7 @@ changes ``vm.elapsed()``, ``vm.ops``, or any result quantity.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,27 +58,8 @@ class Span:
         return self.t1 - self.t0
 
 
-@dataclass
-class InstantEvent:
-    """A zero-duration marker (checkpoint written, rank failed, ...)."""
-
-    name: str
-    t: float  #: virtual seconds
-    iteration: int
-    args: dict = field(default_factory=dict)
-
-
-@dataclass
-class CounterSample:
-    """One sample of a counter track (imbalance, particle counts, ...)."""
-
-    name: str
-    t: float  #: virtual seconds
-    values: dict  #: series name -> float
-
-
 class SpanTracer:
-    """Collects spans / instants / counter samples from a run.
+    """Collects the phase spans of a run.
 
     The tracer is attached to a machine as ``vm.tracer``; the machine's
     ``phase`` context manager feeds it via :meth:`record_phase`.  The
@@ -87,15 +69,7 @@ class SpanTracer:
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self.instants: list[InstantEvent] = []
-        self.counters: list[CounterSample] = []
         self.iteration = -1  #: -1 = before the first simulation iteration
-        #: rank-count history: list of (iteration, p) entries; recovery
-        #: shrink appends so lane metadata can mark dead ranks.
-        self.rank_history: list[tuple[int, int]] = []
-        #: batch identity stamped into ``otherData.correlation`` of the
-        #: export (None for standalone runs — key then absent)
-        self.correlation: dict | None = None
 
     # ------------------------------------------------------------------
     # recording
@@ -120,109 +94,21 @@ class SpanTracer:
             if t1 > t0:
                 self.spans.append(Span(name, rank, it, t0, t1, depth))
 
-    def record_instant(self, name: str, t: float, **args) -> None:
-        """Record a zero-duration marker at virtual time ``t``."""
-        self.instants.append(InstantEvent(name, float(t), self.iteration, dict(args)))
-
-    def record_counters(self, name: str, t: float, values: dict) -> None:
-        """Record one sample of counter track ``name`` at virtual time ``t``."""
-        self.counters.append(
-            CounterSample(name, float(t), {k: float(v) for k, v in values.items()})
-        )
-
-    def note_ranks(self, p: int) -> None:
-        """Record that the machine has ``p`` live ranks from now on."""
-        self.rank_history.append((self.iteration, int(p)))
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def max_rank(self) -> int:
-        """Highest rank id that ever appears in the trace."""
-        ranks = [s.rank for s in self.spans]
-        ranks.extend(p - 1 for _, p in self.rank_history)
-        return max(ranks, default=0)
-
-    def to_chrome(self) -> dict:
-        """Export as a Chrome Trace Event / Perfetto JSON object."""
-        events: list[dict] = [
+    def span_events(self) -> list[dict]:
+        """The spans as Chrome-trace complete (``"ph": "X"``) events."""
+        return [
             {
-                "name": "process_name",
-                "ph": "M",
+                "name": span.name,
+                "cat": "phase",
+                "ph": "X",
                 "pid": 0,
-                "tid": 0,
-                "args": {"name": "repro virtual machine"},
+                "tid": span.rank,
+                "ts": span.t0 * 1e6,
+                "dur": span.duration * 1e6,
+                "args": {"iteration": span.iteration, "depth": span.depth},
             }
+            for span in self.spans
         ]
-        for rank in range(self.max_rank() + 1):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": rank,
-                    "args": {"name": f"rank {rank}"},
-                }
-            )
-        for span in self.spans:
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": "phase",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": span.rank,
-                    "ts": span.t0 * 1e6,
-                    "dur": span.duration * 1e6,
-                    "args": {"iteration": span.iteration, "depth": span.depth},
-                }
-            )
-        for inst in self.instants:
-            events.append(
-                {
-                    "name": inst.name,
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "g",  # global scope: full-height marker line
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": inst.t * 1e6,
-                    "args": {"iteration": inst.iteration, **inst.args},
-                }
-            )
-        for sample in self.counters:
-            events.append(
-                {
-                    "name": sample.name,
-                    "cat": "metric",
-                    "ph": "C",
-                    "pid": 0,
-                    "tid": 0,
-                    "ts": sample.t * 1e6,
-                    "args": sample.values,
-                }
-            )
-        other = {
-            "schema": TRACE_SCHEMA,
-            "clock": "virtual",
-            "rank_history": [list(entry) for entry in self.rank_history],
-        }
-        if self.correlation is not None:
-            other["correlation"] = dict(self.correlation)
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": other,
-        }
-
-    def save(self, path: str | Path) -> Path:
-        """Atomically write the Chrome-trace JSON to ``path`` and return it."""
-        from repro.util.atomic_io import atomic_write_text
-
-        return atomic_write_text(Path(path), json.dumps(self.to_chrome()) + "\n")
 
     def __repr__(self) -> str:
-        return (
-            f"SpanTracer(spans={len(self.spans)}, instants={len(self.instants)}, "
-            f"counters={len(self.counters)})"
-        )
+        return f"SpanTracer(spans={len(self.spans)})"

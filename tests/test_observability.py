@@ -308,7 +308,7 @@ class TestTop:
         row = view.jobs["j0"]
         assert row["state"] == "done"
         assert row["wall"] == 0.4
-        assert view.cache_hits == 0
+        assert view.count("cache.hits") == 0
 
     def test_render_top_shows_progress_and_footer(self):
         view = BatchView()
@@ -512,6 +512,89 @@ class TestCorrelationContract:
             observed_batch["root"] / "obs" / "service.jsonl", once=True, out=buf
         )
         assert view.finished
-        assert view.cache_hits >= 1
+        assert view.count("cache.hits") >= 1
         assert view.jobs["j4-retry"]["state"] == "done"
         assert "batch complete" in buf.getvalue()
+
+
+# ----------------------------------------------------------------------
+# one tally: the circuit-breaker batch counts the same facts everywhere
+# ----------------------------------------------------------------------
+#: report ``counters`` key -> (summary counter, rollup ``counters`` key)
+_SHARED_COUNTERS = {
+    "completed": ("jobs.completed", "completed"),
+    "failed": ("jobs.failed", "failed"),
+    "cancelled": ("jobs.cancelled", "cancelled"),
+    "cache_hits": ("cache.hits", "cache_hits"),
+    "retries": ("jobs.retries", "retries"),
+    "timeouts": ("jobs.timeouts", "timeouts"),
+    "heartbeats_lost": ("heartbeats.lost", "heartbeats_lost"),
+    "worker_losses": ("workers.lost", "workers_lost"),
+    "quarantined": ("cache.quarantined", "cache_quarantined"),
+    "pool_shrinks": ("pool.shrinks", "pool_shrinks"),
+}
+
+
+@pytest.fixture(scope="module")
+def breaker_batch(tmp_path_factory):
+    """A batch whose first job fails and trips ``max_failures=1`` with two
+    jobs still queued: both are cancelled by the breaker."""
+    root = tmp_path_factory.mktemp("breaker")
+    bad = JobSpec(
+        config=dict(BASE, seed=0),
+        iterations=4,
+        name="bad",
+        fault_plan={"events": [{"kind": "kill", "rank": 99, "iteration": 1}]},
+    )
+    rest = [
+        JobSpec(config=dict(BASE, seed=s), iterations=4, name=f"ok{s}") for s in (1, 2)
+    ]
+    report = Scheduler(
+        workers=1,
+        cache=None,
+        workdir=root / "work",
+        retries=0,
+        max_failures=1,
+        obs_dir=root / "obs",
+        prom_dir=root / "prom",
+    ).run([bad] + rest)
+    return {"root": root, "report": report}
+
+
+class TestOneTally:
+    def test_counters_agree_in_report_summary_rollup_and_prom(self, breaker_batch):
+        obs = breaker_batch["root"] / "obs"
+        report = breaker_batch["report"]
+        assert report["circuit_open"]
+        summary = validate_service(obs / "service.jsonl").summary["aggregates"]
+        rollup = aggregate_batch(obs)
+        prom = parse_prom_text(
+            (breaker_batch["root"] / "prom" / "repro-batch.prom").read_text()
+        )
+        key = (("batch", report["batch_id"]),)
+        for name, (counter, rollup_key) in _SHARED_COUNTERS.items():
+            value = report["counters"][name]
+            assert summary.get(counter, {"value": 0.0})["value"] == value, name
+            assert rollup["counters"][rollup_key] == value, name
+            family = prom.get("repro_" + counter.replace(".", "_"))
+            assert (family["samples"][key] if family else 0.0) == value, name
+        assert report["counters"]["cancelled"] == 2
+
+    def test_breaker_cancellations_show_in_every_job_view(self, breaker_batch):
+        obs = breaker_batch["root"] / "obs"
+        states = {job["name"]: job["state"] for job in breaker_batch["report"]["jobs"]}
+        assert states == {"bad": "failed", "ok1": "cancelled", "ok2": "cancelled"}
+        detail = aggregate_batch(obs)["jobs_detail"]
+        view = top_loop(obs / "service.jsonl", once=True, out=io.StringIO())
+        for name, state in states.items():
+            assert detail[name]["state"] == state, name
+            assert view.jobs[name]["state"] == state, name
+        assert view.count("jobs.cancelled") == 2
+
+    def test_queue_depth_reads_zero_once_the_circuit_opens(self, breaker_batch):
+        parsed = validate_service(breaker_batch["root"] / "obs" / "service.jsonl")
+        assert parsed.summary["aggregates"]["queue.depth"]["value"] == 0.0
+        opened = [ev["kind"] for ev in parsed.events].index("circuit_open")
+        cancelled = [ev for ev in parsed.events[opened:] if ev["kind"] == "job_cancelled"]
+        assert len(cancelled) == 2
+        assert all(ev["queue_depth"] == 0 for ev in parsed.events[opened:])

@@ -14,13 +14,15 @@ Pins the contracts of DESIGN.md §5.4:
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.machine import FaultEvent, FaultPlan
+from repro.machine import FaultEvent, FaultPlan, VirtualMachine
 from repro.pic import Simulation, SimulationConfig
+from repro.pic.simulation import IterationRecord
 from repro.pic.checkpoint import load_checkpoint, save_checkpoint
 from tests.looped_reference import use_engine
 from repro.telemetry import (
@@ -66,13 +68,18 @@ class TestSpanTracer:
         assert span.duration == 2.0
 
     def test_chrome_export_shape(self):
-        tracer = SpanTracer()
-        tracer.note_ranks(2)
-        tracer.set_iteration(0)
-        tracer.record_phase("push", np.array([0.0, 0.0]), np.array([0.5, 0.25]))
-        tracer.record_instant("checkpoint", 0.5, path="ck.npz")
-        tracer.record_counters("load imbalance", 0.5, {"max/mean": 1.5})
-        doc = validate_trace(tracer.to_chrome())
+        # instants and counter tracks are projections of the records:
+        # one checkpoint event and one iteration record feed them
+        tel = RunTelemetry(2)
+        vm = VirtualMachine(2)
+        pic = SimpleNamespace(particles=[SimpleNamespace(n=3), SimpleNamespace(n=1)])
+        tel.set_iteration(0)
+        tel.begin_iteration(vm, pic)
+        tel.tracer.record_phase("push", np.array([0.0, 0.0]), np.array([0.5, 0.25]))
+        tel.record_event("checkpoint", t=0.5, iteration=0, path="ck.npz")
+        record = IterationRecord(0, 0.5, 0, 0, False, 0.0)
+        tel.end_iteration(vm, pic, record, comm_epochs=[])
+        doc = validate_trace(tel.to_chrome())
         codes = [ev["ph"] for ev in doc["traceEvents"]]
         assert codes.count("M") == 3  # process + 2 rank lanes
         assert codes.count("X") == 2 and "i" in codes and "C" in codes
